@@ -7,7 +7,8 @@
 
 Exit codes: 0 the system is correct (or the command simply succeeded),
 1 a bug was found, 2 the iteration bound was exhausted, 3 usage, parse, or
-configuration errors, 4 the two engines contradicted each other.
+configuration errors, 4 the two engines contradicted each other, 5 an
+internal error (a broken invariant or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .engine import (
@@ -31,7 +31,7 @@ from .engine import (
 from .errors import (
     ConfigError,
     DiscrepancyError,
-    KindmcError,
+    InternalError,
     ParseError,
     ProtocolError,
     ValidationError,
@@ -145,7 +145,10 @@ def build_parser() -> _Parser:
     pb = sub.add_parser("bench", help="run a benchmark suite with both engines")
     pb.add_argument("--suite", choices=["standard", "quick"], default="standard")
     pb.add_argument("--out", default=None, help="write the JSON report to this file")
-    pb.add_argument("--jobs", type=int, default=1, help="parallel benchmark jobs")
+    pb.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility; records are computed in order in one thread",
+    )
     _add_engine_args(pb, with_engine=False)
     _add_output_arg(pb)
 
@@ -338,12 +341,7 @@ def _bench_table(records: list[dict]) -> list[str]:
 def _cmd_bench(args: argparse.Namespace, parser: _Parser) -> int:
     cfg = _engine_config(args, parser)
     specs = _SUITES[args.suite]
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        records = [_bench_one(s, cfg) for s in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(lambda s: _bench_one(s, cfg), specs))
+    records = [_bench_one(s, cfg) for s in specs]
     bug_pairs = [
         r for r in records if r["plain"]["outcome"] == "bug" and r["extended"]["outcome"] == "bug"
     ]
@@ -437,6 +435,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, ConfigError, ValidationError, ProtocolError, OSError) as e:
         print(f"kindmc: error: {e}", file=sys.stderr)
         return 3
+    except InternalError as e:
+        print(f"kindmc: internal error: {e}", file=sys.stderr)
+        return 5
+    except Exception as e:  # exit 1 would claim a bug was found
+        print(f"kindmc: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -11,6 +11,14 @@ Enumeration order contract, relied on for determinism everywhere: value
 tuples follow variable declaration order, and enumeration is ascending with
 the first declared variable most significant (itertools.product order).
 Bool orders as false < true.
+
+find_path is the one breadth-first path search over concrete states. The
+enum backend answers every query kind with it, from the initial states for
+base cases and the forward condition and from all states for the inductive
+step, and it rebuilds the path from per-depth link maps. Ties go to the
+first state discovered, so the enumeration order above fixes every witness.
+lint_halt_sink checks that halting states are sinks, which a
+forward-condition proof relies on.
 """
 
 from __future__ import annotations
@@ -297,6 +305,10 @@ class SystemExecutor:
         self._succ_memo[s] = result
         return result
 
+    def all_states(self) -> Iterator[tuple]:
+        """Every state of the declared domains, in ascending order."""
+        return product(*self._state_domains)
+
     # -- conversions
 
     def state_obj(self, t: tuple) -> State:
@@ -318,3 +330,85 @@ class SystemExecutor:
             if not fn(t):
                 return name
         return None
+
+
+# ---------------------------------------------------------------------------
+# Path search
+
+Link = Optional[tuple[tuple, tuple]]  # (previous state, input) or None at a root
+
+
+def find_path(
+    ex: SystemExecutor,
+    roots: Iterable[tuple],
+    k: int,
+    goal: Callable[[tuple], bool],
+    keep: Optional[Callable[[tuple], bool]] = None,
+    exact: bool = False,
+) -> Optional[tuple[list[tuple], list[tuple]]]:
+    """Breadth-first search from roots for the first discovered goal state.
+
+    By default the path found is a shortest one of at most k states, and a
+    state is discovered only once across all depths. With exact, the path
+    has exactly k states: each depth keeps its own discovered states and
+    goal is only tested at depth k. Only states that pass keep are
+    expanded. Ties go to the first state discovered, in root order and
+    then successor order. Returns the path's states and inputs, or None.
+    """
+    layers: list[dict[tuple, Link]] = []
+    seen: set[tuple] = set()
+    expand: Iterable[tuple[Optional[tuple], Iterable[tuple[tuple, tuple]]]]
+    expand = ((None, ((None, s) for s in roots)),)
+    for depth in range(1, k + 1):
+        test = not exact or depth == k
+        grow = depth < k
+        layer: dict[tuple, Link] = {}
+        known = layer if exact else seen
+        for s, succs in expand:
+            for u, ns in succs:
+                if ns in known:
+                    continue
+                if not exact:
+                    seen.add(ns)
+                if test and goal(ns):
+                    return _unwind(ns, None if s is None else (s, u), layers)
+                if grow and (keep is None or keep(ns)):
+                    layer[ns] = None if s is None else (s, u)
+        if not layer:
+            return None
+        layers.append(layer)
+        expand = ((s, ex.successors(s)) for s in layer)
+    return None
+
+
+def _unwind(
+    state: tuple, link: Link, layers: Sequence[Mapping[tuple, Link]]
+) -> tuple[list[tuple], list[tuple]]:
+    """The path ending at state, whose link points into the last of the
+    per-depth link maps."""
+    states = [state]
+    inputs: list[tuple] = []
+    for layer in reversed(layers):
+        if link is None:
+            break
+        prev, u = link
+        states.append(prev)
+        inputs.append(u)
+        link = layer[prev]
+    states.reverse()
+    inputs.reverse()
+    return states, inputs
+
+
+def lint_halt_sink(sys: TransitionSystem, bit_cap: int = 16) -> Optional[bool]:
+    """True if every halting state only steps to itself, False if some
+    halting state can move, None when the state space is too large to
+    check. A forward-condition proof is only meaningful when halting
+    states are sinks; the engine warns otherwise."""
+    if sys.state_bits > bit_cap or sys.input_bits > bit_cap:
+        return None
+    ex = SystemExecutor(sys, state_bit_cap=bit_cap, input_bit_cap=bit_cap)
+    for s in ex.all_states():
+        if ex.halt_fn(s) and any(nxt != s for _, nxt in ex.successors(s)):
+            return False
+    return True

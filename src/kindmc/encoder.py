@@ -316,33 +316,3 @@ def serialize_smtlib(q: Query) -> str:
         lines.append(f"(get-value ({' '.join(names)}))")
     lines.append("(exit)")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Halt-sink lint
-
-
-def lint_halt_sink(sys: TransitionSystem, bit_cap: int = 16) -> Optional[bool]:
-    """True if every halting state only steps to itself, False if some
-    halting state can move, None when the state space is too large to
-    check. A forward-condition proof is only meaningful when halting
-    states are sinks; the engine warns otherwise."""
-    from itertools import product
-
-    from .concrete import SystemExecutor
-    from .errors import ConfigError
-
-    if sys.state_bits > bit_cap or sys.input_bits > bit_cap:
-        return None
-    try:
-        ex = SystemExecutor(sys, state_bit_cap=bit_cap, input_bit_cap=bit_cap)
-    except ConfigError:
-        return None
-    halt_fn = ex.halt_fn
-    for combo in product(*ex._state_domains):
-        if not halt_fn(combo):
-            continue
-        for _, nxt in ex.successors(combo):
-            if nxt != combo:
-                return False
-    return True

@@ -12,10 +12,11 @@ Each iteration k runs up to three checks, in order:
 The extended engine additionally turns every inductive-step counterexample
 into a target: the first state of the bad suffix. Later base cases may hit
 a target instead of a full violation; the initial path to the target and
-the stored suffix are then stitched into one witness. A bad suffix of
-length q found at iteration j pairs with an initial prefix of length
-k-q+... whatever the base case finds, so deep bugs surface around half the
-depth a plain base case needs.
+the stored suffix are then stitched into one witness of prefix + suffix - 1
+states. A target born at iteration j carries a suffix of j states, and the
+base case at iteration k reaches prefixes of up to k states. Both grow by
+one state per iteration, so a bug whose shortest witness has d+1 states
+surfaces around k = d/2 + 1 instead of the d + 1 a plain base case needs.
 
 Declaring a system correct requires the current iteration's base case to
 be conclusively unsatisfiable and no forward or inductive check to have
@@ -30,13 +31,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from .concrete import lint_halt_sink
 from .encoder import (
     Target,
     encode_base_case,
     encode_extended_base_case,
     encode_forward_condition,
     encode_inductive_step,
-    lint_halt_sink,
 )
 from .errors import DiscrepancyError, InternalError
 from .ir import Trace, TransitionSystem, replay_trace, states_equal

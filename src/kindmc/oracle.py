@@ -3,7 +3,10 @@
 A plain breadth-first search over concrete states, usable as a reference
 answer for anything the engine claims on systems small enough to explore
 outright. Shares only the compiled executor with the rest of the package;
-no unrolling, no solver, no induction.
+no unrolling, no solver, no induction. It keeps its own search loop rather
+than calling concrete.find_path, which the enum backend uses: a fault in
+that search then shows up as a disagreement with the oracle instead of
+being repeated on both sides.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .concrete import (
     DEFAULT_INPUT_BIT_CAP,
@@ -43,28 +46,12 @@ def bfs_check(
     violating trace if any reachable state breaks a property, otherwise
     reports the space safe with the exploration statistics."""
     ex = SystemExecutor(sys, state_bit_cap, input_bit_cap)
-    visited: set[tuple] = set()
-    parent: dict[tuple, Optional[tuple[tuple, tuple]]] = {}
-    queue: deque[tuple[tuple, int]] = deque()
-    for s in ex.initial_states():
-        if s not in visited:
-            visited.add(s)
-            parent[s] = None
-            queue.append((s, 1))
-    max_depth = 0
-    while queue:
-        s, depth = queue.popleft()
-        max_depth = max(max_depth, depth)
-        if ex.violated_prop(s) is not None:
-            return OracleResult(
-                OracleVerdict.UNSAFE, _trace_to(ex, s, parent), len(visited), depth
-            )
-        for u, ns in ex.successors(s):
-            if ns not in visited:
-                visited.add(ns)
-                parent[ns] = (s, u)
-                queue.append((ns, depth + 1))
-    return OracleResult(OracleVerdict.SAFE_WITHIN_EXPLORED, None, len(visited), max_depth)
+    found, depth, parent = _bfs(ex, lambda s: ex.violated_prop(s) is not None)
+    if found is None:
+        return OracleResult(OracleVerdict.SAFE_WITHIN_EXPLORED, None, len(parent), depth)
+    return OracleResult(
+        OracleVerdict.UNSAFE, _trace_to(ex, found, parent), len(parent), depth
+    )
 
 
 def reachable(
@@ -77,21 +64,34 @@ def reachable(
     goal state is reached, or None when it is unreachable."""
     ex = SystemExecutor(sys, state_bit_cap, input_bit_cap)
     goal_t = ex.state_tuple(goal)
-    visited: set[tuple] = set()
+    found, depth, _ = _bfs(ex, lambda s: s == goal_t)
+    return None if found is None else depth
+
+
+def _bfs(
+    ex: SystemExecutor, goal: Callable[[tuple], bool]
+) -> tuple[Optional[tuple], int, dict[tuple, Optional[tuple[tuple, tuple]]]]:
+    """Breadth-first over the reachable states, testing goal as each state
+    leaves the queue. Returns the first goal state (or None), its depth (or
+    the deepest depth explored) and the parent link of every discovered
+    state."""
+    parent: dict[tuple, Optional[tuple[tuple, tuple]]] = {}
     queue: deque[tuple[tuple, int]] = deque()
     for s in ex.initial_states():
-        if s not in visited:
-            visited.add(s)
+        if s not in parent:
+            parent[s] = None
             queue.append((s, 1))
+    max_depth = 0
     while queue:
         s, depth = queue.popleft()
-        if s == goal_t:
-            return depth
-        for _, ns in ex.successors(s):
-            if ns not in visited:
-                visited.add(ns)
+        max_depth = max(max_depth, depth)
+        if goal(s):
+            return s, depth, parent
+        for u, ns in ex.successors(s):
+            if ns not in parent:
+                parent[ns] = (s, u)
                 queue.append((ns, depth + 1))
-    return None
+    return None, max_depth, parent
 
 
 def _trace_to(

@@ -2,13 +2,16 @@
 
 Two backends:
 
-  enum      built-in search over the concrete state space. Each query kind
-            has a structured plan (breadth-first reachability for base
-            cases, fixed-length frontier expansion for the forward
-            condition and the inductive step) backed by the memoized
-            SystemExecutor. Systems whose per-step footprint exceeds the
-            bit cap fall back to plain enumeration of the unrolled
-            variables when that fits, otherwise the result is unknown.
+  enum      built-in search over the concrete state space, backed by the
+            memoized SystemExecutor. Every query kind is one call to the
+            breadth-first path search concrete.find_path: base cases look
+            for a shortest initial path to a violation or a target, the
+            forward condition for an initial path of exactly k states that
+            ends in a non-halting state, and the inductive step for a path
+            of exactly k states from any state, through good states, to a
+            violation. Systems whose per-step footprint exceeds the bit cap
+            fall back to plain enumeration of the unrolled variables when
+            that fits, otherwise the result is unknown.
 
   external  a one-shot SMT-LIB 2 process: the serialized query on stdin,
             sat/unsat/unknown plus a get-value response on stdout. Output
@@ -27,13 +30,12 @@ from __future__ import annotations
 import os
 import shlex
 import subprocess
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 from typing import Optional, Sequence, Union
 
-from .concrete import SystemExecutor, _domain
+from .concrete import SystemExecutor, _domain, find_path
 from .encoder import Marker, Query, QueryKind, serialize_smtlib
 from .errors import ConfigError, InternalError, ProtocolError
 from .ir import State, Trace, Value, eval_expr
@@ -120,13 +122,33 @@ class Solver:
         ex = self._executor(q)
         if ex is None:
             return _naive_check(q, self.cfg)
+        violated = ex.violated_prop
         if q.kind in (QueryKind.BASE, QueryKind.EXTENDED_BASE):
-            return _search_reach(q, ex)
-        if q.kind is QueryKind.FORWARD:
-            return _search_forward(q, ex)
-        if q.kind is QueryKind.INDUCTIVE:
-            return _search_inductive(q, ex)
-        raise InternalError(f"no plan for query kind {q.kind}")
+            targets = {ex.state_tuple(t.first_state) for t in q.targets}
+            props = q.include_violations
+            path = find_path(
+                ex,
+                ex.initial_states(),
+                q.k,
+                lambda s: s in targets or (props and violated(s) is not None),
+            )
+        elif q.kind is QueryKind.FORWARD:
+            halt = ex.halt_fn
+            path = find_path(ex, ex.initial_states(), q.k, lambda s: not halt(s), exact=True)
+        elif q.kind is QueryKind.INDUCTIVE:
+            path = find_path(
+                ex,
+                ex.all_states(),
+                q.k,
+                lambda s: violated(s) is not None,
+                keep=lambda s: violated(s) is None,
+                exact=True,
+            )
+        else:
+            raise InternalError(f"no search for query kind {q.kind}")
+        if path is None:
+            return SolverVerdict(SolverStatus.UNSAT)
+        return SolverVerdict(SolverStatus.SAT, _assemble_model(q, ex, *path))
 
 
 def check(q: Query, cfg: Optional[SolverConfig] = None) -> SolverVerdict:
@@ -178,152 +200,6 @@ def _finish_model(q: Query, model: Model, strict: bool) -> Optional[str]:
             raise InternalError(msg)
         return msg
     return None
-
-
-# ---------------------------------------------------------------------------
-# Structured searches
-
-
-def _path_to(
-    state: tuple, parent: dict[tuple, Optional[tuple[tuple, tuple]]]
-) -> tuple[list[tuple], list[tuple]]:
-    states = [state]
-    inputs: list[tuple] = []
-    cur = state
-    while True:
-        link = parent[cur]
-        if link is None:
-            break
-        prev, u = link
-        states.append(prev)
-        inputs.append(u)
-        cur = prev
-    states.reverse()
-    inputs.reverse()
-    return states, inputs
-
-
-def _search_reach(q: Query, ex: SystemExecutor) -> SolverVerdict:
-    """Base case and extended base case: shortest event over initial paths,
-    found by breadth-first search with a global visited set."""
-    target_tuples = [(t, ex.state_tuple(t.first_state)) for t in q.targets]
-
-    def event(s: tuple) -> bool:
-        if q.include_violations and ex.violated_prop(s) is not None:
-            return True
-        return any(s == tt for _, tt in target_tuples)
-
-    visited: set[tuple] = set()
-    parent: dict[tuple, Optional[tuple[tuple, tuple]]] = {}
-    queue: deque[tuple[tuple, int]] = deque()
-    for s in ex.initial_states():
-        if s not in visited:
-            visited.add(s)
-            parent[s] = None
-            queue.append((s, 1))
-    while queue:
-        s, depth = queue.popleft()
-        if event(s):
-            states, inputs = _path_to(s, parent)
-            return SolverVerdict(SolverStatus.SAT, _assemble_model(q, ex, states, inputs))
-        if depth < q.k:
-            for u, ns in ex.successors(s):
-                if ns not in visited:
-                    visited.add(ns)
-                    parent[ns] = (s, u)
-                    queue.append((ns, depth + 1))
-    return SolverVerdict(SolverStatus.UNSAT)
-
-
-def _search_forward(q: Query, ex: SystemExecutor) -> SolverVerdict:
-    """Forward condition: a k-state initial path whose last state is not
-    halting. Fixed length, so frontiers are per-depth with no global
-    visited set."""
-    frontier: list[tuple] = list(ex.initial_states())
-    parents: list[dict[tuple, Optional[tuple[tuple, tuple]]]] = [
-        {s: None for s in frontier}
-    ]
-    for _ in range(q.k - 1):
-        nxt: list[tuple] = []
-        pmap: dict[tuple, Optional[tuple[tuple, tuple]]] = {}
-        for s in frontier:
-            for u, ns in ex.successors(s):
-                if ns not in pmap:
-                    pmap[ns] = (s, u)
-                    nxt.append(ns)
-        frontier = nxt
-        parents.append(pmap)
-        if not frontier:
-            return SolverVerdict(SolverStatus.UNSAT)
-    for s in frontier:
-        if not ex.halt_fn(s):
-            states, inputs = _unwind(s, parents)
-            return SolverVerdict(SolverStatus.SAT, _assemble_model(q, ex, states, inputs))
-    return SolverVerdict(SolverStatus.UNSAT)
-
-
-def _unwind(
-    state: tuple, parents: list[dict[tuple, Optional[tuple[tuple, tuple]]]]
-) -> tuple[list[tuple], list[tuple]]:
-    states = [state]
-    inputs: list[tuple] = []
-    cur = state
-    for pmap in reversed(parents[1:]):
-        prev, u = pmap[cur]  # type: ignore[misc]
-        states.append(prev)
-        inputs.append(u)
-        cur = prev
-    states.reverse()
-    inputs.reverse()
-    return states, inputs
-
-
-def _all_states(ex: SystemExecutor):
-    return product(*ex._state_domains)
-
-
-def _search_inductive(q: Query, ex: SystemExecutor) -> SolverVerdict:
-    """Inductive step: a k-state path (any start) with all properties held
-    on the first k-1 states and some property broken at state k."""
-    k = q.k
-
-    def holds(s: tuple) -> bool:
-        return ex.violated_prop(s) is None
-
-    if k == 1:
-        for s in _all_states(ex):
-            if not holds(s):
-                return SolverVerdict(SolverStatus.SAT, _assemble_model(q, ex, [s], []))
-        return SolverVerdict(SolverStatus.UNSAT)
-
-    frontier: list[tuple] = [s for s in _all_states(ex) if holds(s)]
-    parents: list[dict[tuple, Optional[tuple[tuple, tuple]]]] = [
-        {s: None for s in frontier}
-    ]
-    for depth in range(2, k + 1):
-        last = depth == k
-        nxt: list[tuple] = []
-        pmap: dict[tuple, Optional[tuple[tuple, tuple]]] = {}
-        for s in frontier:
-            for u, ns in ex.successors(s):
-                if last:
-                    if not holds(ns):
-                        pmap[ns] = (s, u)
-                        parents.append(pmap)
-                        states, inputs = _unwind(ns, parents)
-                        return SolverVerdict(
-                            SolverStatus.SAT, _assemble_model(q, ex, states, inputs)
-                        )
-                elif ns not in pmap and holds(ns):
-                    pmap[ns] = (s, u)
-                    nxt.append(ns)
-        if last:
-            return SolverVerdict(SolverStatus.UNSAT)
-        frontier = nxt
-        parents.append(pmap)
-        if not frontier:
-            return SolverVerdict(SolverStatus.UNSAT)
-    raise InternalError("inductive search fell through")
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ import jsonschema
 import pytest
 
 import kindmc.cli as cli_mod
+import kindmc.engine as engine_mod
 from kindmc.cli import RUN_RECORD_SCHEMA, main
 from kindmc.engine import ComparisonRecord, Outcome, VerificationReport
 from kindmc.errors import DiscrepancyError
+from kindmc.ir import ReplayVerdict
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -80,6 +82,34 @@ def test_verify_bound_exhausted_exits_2(capsys):
 def test_usage_errors_exit_3(capsys, argv):
     code, _, _ = _run(capsys, argv)
     assert code == 3
+
+
+def test_internal_error_exits_5(capsys, monkeypatch):
+    monkeypatch.setattr(
+        engine_mod,
+        "replay_trace",
+        lambda sys, trace: ReplayVerdict(False, "rejected on purpose", 0),
+    )
+    code, _, err = _run(capsys, ["verify", "--family", "chain_bug", "--d", "3"])
+    assert code == 5
+    assert err == (
+        "kindmc: internal error: witness failed replay at index 0: rejected on purpose\n"
+    )
+
+
+def test_unexpected_exception_exits_5(capsys, tmp_path):
+    # nesting this deep overruns Python's recursion limit somewhere in the
+    # pipeline; whatever the place, it must not exit 1 ("bug found")
+    prop = "(not " * 3000 + "(= x #b000)" + ")" * 3000
+    f = tmp_path / "deep.kts"
+    f.write_text(
+        "(system (var x (bv 3)) (init (= x #b000)) (trans (= (next x) x))"
+        f" (prop deep {prop}) (halt false))"
+    )
+    code, _, err = _run(capsys, ["verify", str(f)])
+    assert code == 5
+    assert err.startswith("kindmc: internal error: RecursionError:")
+    assert err.count("\n") == 1
 
 
 def test_help_exits_0(capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from kindmc import ir
+from kindmc.concrete import lint_halt_sink
 from kindmc.encoder import (
     Marker,
     QueryKind,
@@ -16,7 +17,6 @@ from kindmc.encoder import (
     encode_extended_base_case,
     encode_forward_condition,
     encode_inductive_step,
-    lint_halt_sink,
     props_conj,
     serialize_smtlib,
     smt_expr,

@@ -1,9 +1,8 @@
-"""Solver backends: structured search, naive enumeration, external process.
+"""Solver backends: path search, naive enumeration, external process.
 
-The structured plans (reachability, frontier expansion) are checked for
-status agreement against the naive assignment enumerator on random systems,
-and every satisfiable base answer must decode to a trace the reference
-semantics accept.
+The enum backend's path search is checked for status agreement against the
+naive assignment enumerator on random systems, and every satisfiable base
+answer must decode to a trace the reference semantics accept.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ def _queries(sys, k):
 
 
 # ---------------------------------------------------------------------------
-# Structured search vs naive enumeration
+# Path search vs naive enumeration
 
 
 @pytest.fixture(scope="module")
@@ -191,20 +190,51 @@ def test_naive_used_when_state_space_exceeds_cap():
 
 
 def test_naive_within_budget_still_answers():
-    # force the naive path by shrinking the executor cap only
-    sys = chain_bug(2)  # 2 state bits per step
-    cfg = SolverConfig(enum_bit_cap=1)
-    v = Solver(cfg).check(encode_base_case(sys, 1))
-    assert v.status is SolverStatus.UNKNOWN  # 2 bits > 1-bit budget
-    cfg = SolverConfig(enum_bit_cap=4)
-    # cap admits the k=1 query (2 bits) but not the whole system executor
-    # (state space fits, so the structured plan handles it); drop to the
-    # naive check directly to pin its verdict
+    sys = chain_bug(2)  # 2 state bits, no inputs
+    # a 1-bit cap admits neither the executor nor the 2-bit k=1 query
+    v = Solver(SolverConfig(enum_bit_cap=1)).check(encode_base_case(sys, 1))
+    assert v.status is SolverStatus.UNKNOWN
+    # within its budget the naive enumerator answers, and its model decodes
+    # to a trace the reference semantics accept
     q = encode_base_case(sys, 3)
     naive = _naive_check(q, SolverConfig())
     assert naive.status is SolverStatus.SAT
     dec = decode_model(q, naive.model)
     assert replay_trace(sys, dec.trace)
+
+
+def _wide_input_system():
+    """2 state bits and a 23-bit input: 25 bits per step, one over the cap
+    of 24, so the executor is refused. A k=1 query has no inputs and needs
+    2 bits; a k=2 query needs 2 + 23 + 2 = 27."""
+    ws, wi = ir.bitvec(2), ir.bitvec(23)
+    x, c = ir.var("x", ws), ir.var("c", wi)
+    sys = ir.TransitionSystem(
+        vars=(ir.VarDecl("x", ws, ir.VarRole.STATE), ir.VarDecl("c", wi, ir.VarRole.INPUT)),
+        init=ir.eq(x, ir.const(0, ws)),
+        trans=ir.eq(
+            ir.next_var("x", ws),
+            ir.ite(ir.eq(c, ir.const(0, wi)), x, ir.bvadd(x, ir.const(1, ws))),
+        ),
+        props=(ir.Prop("nonzero", ir.not_(ir.eq(x, ir.const(0, ws)))),),
+        halt=ir.FALSE,
+    )
+    sys.validate()
+    return sys
+
+
+def test_naive_answers_when_inputs_break_the_cap():
+    sys = _wide_input_system()
+    solver = Solver(SolverConfig(enum_bit_cap=24))
+    q = encode_base_case(sys, 1)
+    v = solver.check(q)
+    assert v.status is SolverStatus.SAT
+    assert decode_model(q, v.model).trace.violated_prop == "nonzero"
+    assert solver.check(encode_inductive_step(sys, 1)).status is SolverStatus.SAT
+    assert solver.check(encode_forward_condition(sys, 1)).status is SolverStatus.SAT
+    v = solver.check(encode_base_case(sys, 2))
+    assert v.status is SolverStatus.UNKNOWN
+    assert "external solver" in v.diagnostic
 
 
 # ---------------------------------------------------------------------------
