@@ -346,7 +346,8 @@ def find_path(
     keep: Optional[Callable[[tuple], bool]] = None,
     exact: bool = False,
 ) -> Optional[tuple[list[tuple], list[tuple]]]:
-    """Breadth-first search from roots for the first discovered goal state.
+    """Breadth-first search from distinct roots for the first discovered
+    goal state.
 
     By default the path found is a shortest one of at most k states, and a
     state is discovered only once across all depths. With exact, the path
@@ -357,27 +358,43 @@ def find_path(
     """
     layers: list[dict[tuple, Link]] = []
     seen: set[tuple] = set()
-    expand: Iterable[tuple[Optional[tuple], Iterable[tuple[tuple, tuple]]]]
-    expand = ((None, ((None, s) for s in roots)),)
-    for depth in range(1, k + 1):
-        test = not exact or depth == k
-        grow = depth < k
-        layer: dict[tuple, Link] = {}
-        known = layer if exact else seen
-        for s, succs in expand:
-            for u, ns in succs:
-                if ns in known:
-                    continue
-                if not exact:
-                    seen.add(ns)
-                if test and goal(ns):
-                    return _unwind(ns, None if s is None else (s, u), layers)
-                if grow and (keep is None or keep(ns)):
-                    layer[ns] = None if s is None else (s, u)
+    layer: dict[tuple, Link]
+    if exact and k > 1:
+        # no goal test at depth 1; the inductive step's roots are every
+        # state, so filter them without a Python-level loop
+        layer = dict.fromkeys(roots if keep is None else filter(keep, roots))
+    else:
+        layer = {}
+        for s in roots:
+            if goal(s):
+                return [s], []
+            if k > 1:
+                seen.add(s)
+                if keep is None or keep(s):
+                    layer[s] = None
+    for depth in range(2, k + 1):
         if not layer:
             return None
         layers.append(layer)
-        expand = ((s, ex.successors(s)) for s in layer)
+        frontier, layer = layer, {}
+        last = depth == k
+        for s in frontier:
+            for u, ns in ex.successors(s):
+                if exact:
+                    if last:  # a repeat fails goal again; no need to record it
+                        if goal(ns):
+                            return _unwind(ns, (s, u), layers)
+                        continue
+                    if ns in layer:
+                        continue
+                elif ns in seen:
+                    continue
+                else:
+                    seen.add(ns)
+                    if goal(ns):
+                        return _unwind(ns, (s, u), layers)
+                if not last and (keep is None or keep(ns)):
+                    layer[ns] = (s, u)
     return None
 
 
