@@ -19,13 +19,22 @@ fired. The four query kinds:
   extended-base  like base, but a step may also hit a target state
   forward        init(s1), full path to k, halt(s_k) false
   inductive      path of k states, properties hold at 1..k-1, fail at k
+
+A Query holds only the question: kind, k, system, targets and whether
+violations count. Its formula (decls, markers, marker_defs, assertion) is
+built from those on first read, by whichever consumer needs it:
+serialize_smtlib for an external solver, the re-check of a satisfying
+model, the naive enumeration fallback, and decode_model. The enum backend
+answers from the question alone, so an unsatisfiable answer there never
+builds a formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 from . import ir
 from .errors import InternalError
@@ -73,20 +82,34 @@ class Target:
     tid: int
 
 
-@dataclass(frozen=True)
-class Query:
-    kind: QueryKind
-    k: int
-    decls: tuple[TimedVar, ...]
+class _Formula(NamedTuple):
     markers: tuple[Marker, ...]
     marker_defs: tuple[tuple[str, Expr], ...]
     assertion: Expr
+
+
+@dataclass(frozen=True)
+class Query:
+    """The question a solver is asked. Its SMT formula (decls, markers,
+    marker_defs, assertion) is built from these fields on first read."""
+
+    kind: QueryKind
+    k: int
     system: TransitionSystem
     targets: tuple[Target, ...] = ()
     include_violations: bool = True
 
-    def marker_def_map(self) -> dict[str, Expr]:
-        return dict(self.marker_defs)
+    @cached_property
+    def decls(self) -> tuple[TimedVar, ...]:
+        return _decls(self.system, self.k)
+
+    @cached_property
+    def _formula(self) -> _Formula:
+        return _FORMULA[self.kind](self)
+
+    markers = property(lambda self: self._formula.markers)
+    marker_defs = property(lambda self: self._formula.marker_defs)
+    assertion = property(lambda self: self._formula.assertion)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +180,8 @@ def _path_conj(sys: TransitionSystem, k: int) -> list[Expr]:
 
 
 def encode_base_case(sys: TransitionSystem, k: int) -> Query:
-    return _encode_reach(sys, k, QueryKind.BASE, (), True)
+    _check_k(k)
+    return Query(QueryKind.BASE, k, sys)
 
 
 def encode_extended_base_case(
@@ -166,17 +190,31 @@ def encode_extended_base_case(
     targets: Sequence[Target],
     include_violations: bool = True,
 ) -> Query:
-    return _encode_reach(sys, k, QueryKind.EXTENDED_BASE, tuple(targets), include_violations)
-
-
-def _encode_reach(
-    sys: TransitionSystem,
-    k: int,
-    kind: QueryKind,
-    targets: tuple[Target, ...],
-    include_violations: bool,
-) -> Query:
     _check_k(k)
+    return Query(QueryKind.EXTENDED_BASE, k, sys, tuple(targets), include_violations)
+
+
+def encode_forward_condition(sys: TransitionSystem, k: int) -> Query:
+    _check_k(k)
+    return Query(QueryKind.FORWARD, k, sys)
+
+
+def encode_inductive_step(sys: TransitionSystem, k: int) -> Query:
+    _check_k(k)
+    return Query(QueryKind.INDUCTIVE, k, sys)
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise InternalError(f"query depth must be at least 1, got {k}")
+
+
+# ---------------------------------------------------------------------------
+# Formula builders, one per query kind
+
+
+def _reach_formula(q: Query) -> _Formula:
+    sys, k, targets = q.system, q.k, q.targets
     bad = ir.not_(props_conj(sys))
     defs = _path_defs(sys, k)
     markers: list[Marker] = []
@@ -192,61 +230,38 @@ def _encode_reach(
     disjuncts = []
     for i in range(1, k + 1):
         hits = []
-        if include_violations:
+        if q.include_violations:
             hits.append(ir.var(f"viol@@{i}", BOOL))
         hits.extend(ir.var(f"tgt{t.tid}@@{i}", BOOL) for t in targets)
         disjuncts.append(ir.conj([ir.var(f"path@@{i}", BOOL), ir.disj(hits)]))
     assertion = ir.conj([timed(sys.init, 1), ir.disj(disjuncts)])
-    return Query(
-        kind=kind,
-        k=k,
-        decls=_decls(sys, k),
-        markers=tuple(markers),
-        marker_defs=tuple(defs),
-        assertion=assertion,
-        system=sys,
-        targets=targets,
-        include_violations=include_violations,
-    )
+    return _Formula(tuple(markers), tuple(defs), assertion)
 
 
-def encode_forward_condition(sys: TransitionSystem, k: int) -> Query:
-    _check_k(k)
+def _forward_formula(q: Query) -> _Formula:
+    sys, k = q.system, q.k
     parts = [timed(sys.init, 1)]
     parts.extend(_path_conj(sys, k))
     parts.append(ir.not_(timed(sys.halt, k)))
-    return Query(
-        kind=QueryKind.FORWARD,
-        k=k,
-        decls=_decls(sys, k),
-        markers=(),
-        marker_defs=(),
-        assertion=ir.conj(parts),
-        system=sys,
-    )
+    return _Formula((), (), ir.conj(parts))
 
 
-def encode_inductive_step(sys: TransitionSystem, k: int) -> Query:
-    _check_k(k)
+def _inductive_formula(q: Query) -> _Formula:
+    sys, k = q.system, q.k
     phi = props_conj(sys)
     parts: list[Expr] = []
     parts.extend(_path_conj(sys, k))
     parts.extend(timed(phi, i) for i in range(1, k))
     parts.append(ir.not_(timed(phi, k)))
-    return Query(
-        kind=QueryKind.INDUCTIVE,
-        k=k,
-        decls=_decls(sys, k),
-        markers=(),
-        marker_defs=(),
-        assertion=ir.conj(parts),
-        system=sys,
-    )
+    return _Formula((), (), ir.conj(parts))
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise InternalError(f"query depth must be at least 1, got {k}")
+_FORMULA = {
+    QueryKind.BASE: _reach_formula,
+    QueryKind.EXTENDED_BASE: _reach_formula,
+    QueryKind.FORWARD: _forward_formula,
+    QueryKind.INDUCTIVE: _inductive_formula,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -91,17 +91,23 @@ def _tokenize(src: str) -> list[tuple[str, int, int]]:
     return toks
 
 
+MAX_NESTING = 200
+
+
 def _read(src: str) -> list[SNode]:
+    """S-expressions at most MAX_NESTING deep, so no recursive pass overruns the stack."""
     toks = _tokenize(src)
     pos = 0
 
-    def read_one() -> SNode:
+    def read_one(depth: int) -> SNode:
         nonlocal pos
         if pos >= len(toks):
             raise ParseError("unexpected end of input", *_last_pos(toks))
         text, line, col = toks[pos]
         pos += 1
         if text == "(":
+            if depth == MAX_NESTING:
+                raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", line, col)
             items: list[SNode] = []
             while True:
                 if pos >= len(toks):
@@ -109,14 +115,14 @@ def _read(src: str) -> list[SNode]:
                 if toks[pos][0] == ")":
                     pos += 1
                     return SNode(line, col, items=items)
-                items.append(read_one())
+                items.append(read_one(depth + 1))
         if text == ")":
             raise ParseError("unexpected ')'", line, col)
         return SNode(line, col, text=text)
 
     forms: list[SNode] = []
     while pos < len(toks):
-        forms.append(read_one())
+        forms.append(read_one(0))
     return forms
 
 

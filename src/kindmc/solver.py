@@ -3,7 +3,9 @@
 Two backends:
 
   enum      built-in search over the concrete state space, backed by the
-            memoized SystemExecutor. Every query kind is one call to the
+            memoized SystemExecutor. It answers from the query's question
+            (kind, k, system, targets) and reads the formula only to
+            re-check a satisfying model. Every query kind is one call to the
             breadth-first path search concrete.find_path: base cases look
             for a shortest initial path to a violation or a target, the
             forward condition for an initial path of exactly k states that
@@ -19,8 +21,8 @@ Two backends:
             unknown with a diagnostic rather than an exception.
 
 Every satisfiable answer carries a full model (timed variables plus the
-auxiliary booleans), and the model is re-checked against the query's
-assertion before it is returned. For the built-in backend a failed
+auxiliary booleans), and the model is re-checked against the query's full
+formula before it is returned. For the built-in backend a failed
 re-check is a bug and raises; for an external process it downgrades the
 answer to unknown.
 """
@@ -37,8 +39,9 @@ from typing import Optional, Sequence, Union
 
 from .concrete import SystemExecutor, _domain, find_path
 from .encoder import Marker, Query, QueryKind, serialize_smtlib
-from .errors import ConfigError, InternalError, ProtocolError
-from .ir import State, Trace, Value, eval_expr
+from .errors import ConfigError, InternalError, ParseError, ProtocolError
+from .frontend import _read
+from .ir import State, Trace, Value, VarDecl, eval_expr
 
 Model = dict[str, Value]
 
@@ -111,10 +114,7 @@ class Solver:
         cap = self.cfg.enum_bit_cap
         if q.system.state_bits + q.system.input_bits > cap:
             return None
-        try:
-            ex = SystemExecutor(q.system, state_bit_cap=cap, input_bit_cap=cap)
-        except ConfigError:
-            return None
+        ex = SystemExecutor(q.system, state_bit_cap=cap, input_bit_cap=cap)
         self._executors[key] = (q.system, ex)
         return ex
 
@@ -220,9 +220,7 @@ def _naive_check(q: Query, cfg: SolverConfig) -> SolverVerdict:
     names = [tv.name for tv in q.decls]
     for combo in product(*domains):
         model: Model = dict(zip(names, combo))
-        for mname, defn in q.marker_defs:
-            model[mname] = eval_expr(defn, model)
-        if eval_expr(q.assertion, model) is True:
+        if _finish_model(q, model, strict=False) is None:
             return SolverVerdict(SolverStatus.SAT, model)
     return SolverVerdict(SolverStatus.UNSAT)
 
@@ -248,26 +246,20 @@ def _check_external(q: Query, cfg: SolverConfig) -> SolverVerdict:
         return SolverVerdict(
             SolverStatus.UNKNOWN, diagnostic=f"solver timed out after {cfg.timeout_ms}ms"
         )
-    verdict = None
-    rest_lines: list[str] = []
-    for idx, line in enumerate(proc.stdout.splitlines()):
-        t = line.strip()
-        if t in ("sat", "unsat", "unknown"):
-            verdict = t
-            rest_lines = proc.stdout.splitlines()[idx + 1 :]
-            break
-    if verdict is None:
+    lines = [line.strip() for line in proc.stdout.splitlines()]
+    at = next((i for i, t in enumerate(lines) if t in ("sat", "unsat", "unknown")), None)
+    if at is None:
         excerpt = (proc.stdout + proc.stderr).strip().splitlines()
         return SolverVerdict(
             SolverStatus.UNKNOWN,
             diagnostic="no sat/unsat verdict from solver: "
             + ("; ".join(excerpt[:3]) if excerpt else "empty output"),
         )
-    if verdict == "unsat":
+    if lines[at] == "unsat":
         return SolverVerdict(SolverStatus.UNSAT)
-    if verdict == "unknown":
+    if lines[at] == "unknown":
         return SolverVerdict(SolverStatus.UNKNOWN, diagnostic="solver answered unknown")
-    raw = _parse_value_response("\n".join(rest_lines))
+    raw = _parse_value_response("\n".join(lines[at + 1 :]))
     if raw is None:
         return SolverVerdict(
             SolverStatus.UNKNOWN, diagnostic="sat, but the model was unreadable"
@@ -286,12 +278,11 @@ def _check_external(q: Query, cfg: SolverConfig) -> SolverVerdict:
                     SolverStatus.UNKNOWN,
                     diagnostic=f"sat, but {tv.name} has a non-boolean value",
                 )
-        else:
-            if isinstance(v, bool) or not isinstance(v, int) or not tv.sort.contains(v):
-                return SolverVerdict(
-                    SolverStatus.UNKNOWN,
-                    diagnostic=f"sat, but {tv.name} is out of range for {tv.sort}",
-                )
+        elif isinstance(v, bool) or not isinstance(v, int) or not tv.sort.contains(v):
+            return SolverVerdict(
+                SolverStatus.UNKNOWN,
+                diagnostic=f"sat, but {tv.name} is out of range for {tv.sort}",
+            )
         model[tv.name] = v
     complaint = _finish_model(q, model, strict=False)
     if complaint is not None:
@@ -302,9 +293,6 @@ def _check_external(q: Query, cfg: SolverConfig) -> SolverVerdict:
 def _parse_value_response(text: str) -> Optional[Model]:
     """Parse a get-value response: ((name value) ...). Returns None when the
     text is not in that shape."""
-    from .errors import ParseError
-    from .frontend import _read
-
     try:
         forms = _read(text)
     except ParseError:
@@ -339,17 +327,13 @@ def _parse_value(node) -> Optional[Value]:
             return True
         if t == "false":
             return False
-        if t.startswith("#b") and len(t) > 2:
-            try:
-                return int(t[2:], 2)
-            except ValueError:
-                return None
-        if t.startswith("#x") and len(t) > 2:
-            try:
-                return int(t[2:], 16)
-            except ValueError:
-                return None
-        return None
+        base = {"#b": 2, "#x": 16}.get(t[:2])
+        if base is None or len(t) == 2:
+            return None
+        try:
+            return int(t[2:], base)
+        except ValueError:
+            return None
     items = node.items or []
     # (_ bv<value> <width>)
     if (
@@ -377,24 +361,18 @@ class DecodedModel:
     matched_target: Optional[int] = None
 
 
-def _state_at(q: Query, model: Model, step: int) -> State:
-    vals = {}
-    for d in q.system.state_vars:
-        key = f"{d.name}@{step}"
-        if key not in model:
-            raise ProtocolError(f"model has no value for {key}")
-        vals[d.name] = model[key]
-    return State(vals)
+def _values_at(decls: Sequence[VarDecl], model: Model, step: int) -> State:
+    try:
+        return State({d.name: model[f"{d.name}@{step}"] for d in decls})
+    except KeyError as e:
+        raise ProtocolError(f"model has no value for {e.args[0]}") from None
 
 
-def _input_at(q: Query, model: Model, step: int) -> State:
-    vals = {}
-    for d in q.system.input_vars:
-        key = f"{d.name}@{step}"
-        if key not in model:
-            raise ProtocolError(f"model has no value for {key}")
-        vals[d.name] = model[key]
-    return State(vals)
+def _path_in(q: Query, model: Model, n: int) -> tuple[tuple[State, ...], tuple[State, ...]]:
+    """The model's first n states and the n-1 inputs between them."""
+    sys = q.system
+    states = tuple(_values_at(sys.state_vars, model, i) for i in range(1, n + 1))
+    return states, tuple(_values_at(sys.input_vars, model, i) for i in range(1, n))
 
 
 def _first_false_prop(q: Query, state: State) -> str:
@@ -424,15 +402,13 @@ def decode_model(q: Query, model: Model) -> DecodedModel:
         if not fired:
             raise ProtocolError("satisfiable base case but no fired marker")
         m = min(fired, key=_marker_key)
-        states = tuple(_state_at(q, model, i) for i in range(1, m.depth + 1))
-        inputs = tuple(_input_at(q, model, i) for i in range(1, m.depth))
+        states, inputs = _path_in(q, model, m.depth)
         if m.target_id is None:
             violated = _first_false_prop(q, states[-1])
             return DecodedModel(Trace(states, inputs, violated), m.depth)
         return DecodedModel(Trace(states, inputs), m.depth, matched_target=m.target_id)
 
-    states = tuple(_state_at(q, model, i) for i in range(1, q.k + 1))
-    inputs = tuple(_input_at(q, model, i) for i in range(1, q.k))
+    states, inputs = _path_in(q, model, q.k)
     if q.kind is QueryKind.INDUCTIVE:
         violated = _first_false_prop(q, states[-1])
         return DecodedModel(Trace(states, inputs, violated), q.k)

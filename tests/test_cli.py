@@ -97,19 +97,47 @@ def test_internal_error_exits_5(capsys, monkeypatch):
     )
 
 
-def test_unexpected_exception_exits_5(capsys, tmp_path):
-    # nesting this deep overruns Python's recursion limit somewhere in the
-    # pipeline; whatever the place, it must not exit 1 ("bug found")
-    prop = "(not " * 3000 + "(= x #b000)" + ")" * 3000
-    f = tmp_path / "deep.kts"
+def test_unexpected_exception_exits_5(capsys, monkeypatch):
+    # any exception the program does not expect must not exit 1 ("bug found")
+    def boom(args, parser):
+        raise RuntimeError("raised on purpose")
+
+    monkeypatch.setattr(cli_mod, "_cmd_verify", boom)
+    code, _, err = _run(capsys, ["verify", "--family", "chain_bug", "--d", "3"])
+    assert code == 5
+    assert err == "kindmc: internal error: RuntimeError: raised on purpose\n"
+
+
+def _nested_and_system(tmp_path, depth: int) -> Path:
+    """A system whose deepest s-expression is `depth` parentheses deep: the
+    property is an `and` chain nested inside (system (prop ...))."""
+    chain = depth - 2
+    prop = "(and true " * (chain - 1) + "(= x #b000)" + ")" * (chain - 1)
+    f = tmp_path / f"nested{depth}.kts"
     f.write_text(
-        "(system (var x (bv 3)) (init (= x #b000)) (trans (= (next x) x))"
+        "(system (var x (bv 3)) (init (= x #b000)) (trans (= (next x) x))\n"
         f" (prop deep {prop}) (halt false))"
     )
+    return f
+
+
+def test_nesting_at_the_limit_gets_a_verdict(capsys, tmp_path):
+    f = _nested_and_system(tmp_path, 200)
+    code, out, _ = _run(capsys, ["verify", str(f)])
+    assert code == 0
+    assert "correct at k=2 (inductive condition" in out
+    code, out, err = _run(capsys, ["compare", str(f), "--output", "json"])
+    assert code == 0, err
+    assert json.loads(out)["plain"]["outcome"] == "correct"
+
+
+def test_nesting_past_the_limit_exits_3(capsys, tmp_path):
+    f = _nested_and_system(tmp_path, 201)
     code, _, err = _run(capsys, ["verify", str(f)])
-    assert code == 5
-    assert err.startswith("kindmc: internal error: RecursionError:")
-    assert err.count("\n") == 1
+    assert code == 3
+    # the 201st '(' opens on line 2, after " (prop deep " and 198 "(and true "
+    col = len(" (prop deep ") + 198 * len("(and true ") + 1
+    assert err == f"kindmc: error: 2:{col}: expression nested deeper than 200 levels\n"
 
 
 def test_help_exits_0(capsys):

@@ -118,7 +118,7 @@ def test_base_markers_and_defs():
     assert q.markers == (Marker("viol@@1", 1), Marker("viol@@2", 2))
     names = [n for n, _ in q.marker_defs]
     assert names == ["path@@1", "path@@2", "viol@@1", "viol@@2"]
-    defs = q.marker_def_map()
+    defs = dict(q.marker_defs)
     assert defs["path@@1"] is ir.TRUE
     # path@@2 chains path@@1 with the step-1 transition
     assert defs["path@@2"] == ir.and_(ir.var("path@@1", BOOL), timed(_tiny().trans, 1))
@@ -145,7 +145,7 @@ def test_extended_base_adds_target_markers():
     assert q.targets == (t,)
     assert Marker("tgt7@@1", 1, 7) in q.markers
     assert Marker("tgt7@@2", 2, 7) in q.markers
-    defs = q.marker_def_map()
+    defs = dict(q.marker_defs)
     assert defs["tgt7@@1"] == ir.eq(ir.var("x@1", bitvec(2)), ir.bv_const(2, 2))
     # violation markers sit in front of target markers
     names = [n for n, _ in q.marker_defs]
@@ -157,7 +157,7 @@ def test_target_only_recheck_keeps_viol_defs_but_not_in_assertion():
     q = encode_extended_base_case(sys, 2, (_target(),), include_violations=False)
     assert not q.include_violations
     # defining equalities remain (the decoder may still read them)...
-    assert "viol@@1" in q.marker_def_map()
+    assert "viol@@1" in dict(q.marker_defs)
     # ...but no viol symbol appears in the assertion
     used = {n.name for n in ir.walk(q.assertion) if n.op == "var"}
     assert "viol@@1" not in used and "viol@@2" not in used

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from kindmc import ir
+from kindmc import solver as solver_mod
 from kindmc.concrete import _domain
 from kindmc.encoder import (
     Marker,
@@ -19,7 +20,7 @@ from kindmc.encoder import (
     encode_forward_condition,
     encode_inductive_step,
 )
-from kindmc.errors import ConfigError, ProtocolError
+from kindmc.errors import ConfigError, InternalError, ProtocolError
 from kindmc.frontend import chain_bug
 from kindmc.ir import State, Trace, eval_expr, replay_trace
 from kindmc.solver import (
@@ -27,6 +28,7 @@ from kindmc.solver import (
     SolverConfig,
     SolverStatus,
     _naive_check,
+    _parse_value_response,
     check,
     decode_model,
     resolve_config,
@@ -165,6 +167,34 @@ def test_target_hit_decodes_with_target_id():
     assert dec.depth == 4
     assert dec.trace.states[-1] == goal
     assert dec.trace.violated_prop is None
+
+
+# ---------------------------------------------------------------------------
+# Formulas are built on demand
+
+
+@pytest.mark.parametrize("sys", [chain_bug(5), saturating()], ids=lambda s: s.name)
+def test_enum_builds_a_formula_only_for_sat_answers(sys):
+    statuses = set()
+    for k in (1, 2, 3):
+        for q in _queries(sys, k):
+            v = check(q)
+            statuses.add(v.status)
+            if v.status is SolverStatus.UNSAT:
+                assert "_formula" not in vars(q) and "decls" not in vars(q)
+            else:
+                # the re-check read the formula and filled in every marker
+                assert "_formula" in vars(q)
+                assert {m.name for m in q.markers} <= set(v.model)
+                assert eval_expr(q.assertion, v.model) is True
+    assert statuses == {SolverStatus.SAT, SolverStatus.UNSAT}
+
+
+def test_enum_model_that_fails_the_recheck_raises(monkeypatch):
+    # x=0 violates nothing, so this "path" cannot satisfy the base case
+    monkeypatch.setattr(solver_mod, "find_path", lambda *args, **kwargs: ([(0,)], []))
+    with pytest.raises(InternalError, match="model fails re-check for base k=2"):
+        check(encode_base_case(chain_bug(5), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +435,10 @@ def test_external_unreadable_model_is_unknown():
     v = Solver(_external(fake_solver("liar_sat"))).check(encode_base_case(chain_bug(2), 1))
     assert v.status is SolverStatus.UNKNOWN
     assert "unreadable" in v.diagnostic
+
+
+def test_deeply_nested_value_response_is_unreadable():
+    assert _parse_value_response("(" * 5000 + ")" * 5000) is None
 
 
 def test_external_unknown_verdict_passes_through():
