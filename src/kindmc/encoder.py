@@ -27,6 +27,16 @@ serialize_smtlib for an external solver, the re-check of a satisfying
 model, the naive enumeration fallback, and decode_model. The enum backend
 answers from the question alone, so an unsatisfiable answer there never
 builds a formula.
+
+Formulas are assembled from shared timed subterms: timed(trans, i),
+timed(init, 1), timed(halt, k), and the property conjunction phi and its
+negation at step i. Each is built once per system, on first use, and every
+later query of that system reuses the same object, so a run of k iterations
+builds each step's transition relation once rather than once per
+satisfiable answer. The cache has one slot, keyed by the system's identity:
+it holds the last system queried (strongly, so its id cannot be reused) and
+its subterms until a query of a different system replaces them. Targets'
+state equalities are built per query.
 """
 
 from __future__ import annotations
@@ -162,17 +172,53 @@ def _decls(sys: TransitionSystem, k: int) -> tuple[TimedVar, ...]:
     return tuple(out)
 
 
-def _path_defs(sys: TransitionSystem, k: int) -> list[tuple[str, Expr]]:
+class _TimedTerms(dict):
+    """The timed sections of one system, keyed by (section, step): each
+    `timed(section, step)` is built on first lookup and then shared by every
+    query of the system."""
+
+    def __init__(self, sys: TransitionSystem) -> None:
+        super().__init__()
+        self.system = sys
+        phi = props_conj(sys)
+        self._sections = {
+            "init": sys.init,
+            "trans": sys.trans,
+            "halt": sys.halt,
+            "phi": phi,
+            "bad": ir.not_(phi),
+        }
+
+    def __missing__(self, key: tuple[str, int]) -> Expr:
+        section, step = key
+        e = self[key] = timed(self._sections[section], step)
+        return e
+
+
+# One slot, enough because `compare` runs both engines on the same object.
+# Keyed by identity: systems and expressions hash by value, recursively.
+_last_terms: Optional[_TimedTerms] = None
+
+
+def _terms(sys: TransitionSystem) -> _TimedTerms:
+    # Read the slot once, so a caller in another thread that replaces it
+    # cannot hand this caller another system's terms.
+    global _last_terms
+    terms = _last_terms
+    if terms is None or terms.system is not sys:
+        terms = _last_terms = _TimedTerms(sys)
+    return terms
+
+
+def _path_defs(at: _TimedTerms, k: int) -> list[tuple[str, Expr]]:
     defs: list[tuple[str, Expr]] = [("path@@1", ir.TRUE)]
     for i in range(1, k):
-        defs.append(
-            (f"path@@{i + 1}", ir.and_(ir.var(f"path@@{i}", BOOL), timed(sys.trans, i)))
-        )
+        defs.append((f"path@@{i + 1}", ir.and_(ir.var(f"path@@{i}", BOOL), at["trans", i])))
     return defs
 
 
-def _path_conj(sys: TransitionSystem, k: int) -> list[Expr]:
-    return [timed(sys.trans, i) for i in range(1, k)]
+def _path_conj(at: _TimedTerms, k: int) -> list[Expr]:
+    return [at["trans", i] for i in range(1, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +261,12 @@ def _check_k(k: int) -> None:
 
 def _reach_formula(q: Query) -> _Formula:
     sys, k, targets = q.system, q.k, q.targets
-    bad = ir.not_(props_conj(sys))
-    defs = _path_defs(sys, k)
+    at = _terms(sys)
+    defs = _path_defs(at, k)
     markers: list[Marker] = []
     for i in range(1, k + 1):
         name = f"viol@@{i}"
-        defs.append((name, timed(bad, i)))
+        defs.append((name, at["bad", i]))
         markers.append(Marker(name, i))
     for t in targets:
         for i in range(1, k + 1):
@@ -234,25 +280,24 @@ def _reach_formula(q: Query) -> _Formula:
             hits.append(ir.var(f"viol@@{i}", BOOL))
         hits.extend(ir.var(f"tgt{t.tid}@@{i}", BOOL) for t in targets)
         disjuncts.append(ir.conj([ir.var(f"path@@{i}", BOOL), ir.disj(hits)]))
-    assertion = ir.conj([timed(sys.init, 1), ir.disj(disjuncts)])
+    assertion = ir.conj([at["init", 1], ir.disj(disjuncts)])
     return _Formula(tuple(markers), tuple(defs), assertion)
 
 
 def _forward_formula(q: Query) -> _Formula:
-    sys, k = q.system, q.k
-    parts = [timed(sys.init, 1)]
-    parts.extend(_path_conj(sys, k))
-    parts.append(ir.not_(timed(sys.halt, k)))
+    at, k = _terms(q.system), q.k
+    parts = [at["init", 1]]
+    parts.extend(_path_conj(at, k))
+    parts.append(ir.not_(at["halt", k]))
     return _Formula((), (), ir.conj(parts))
 
 
 def _inductive_formula(q: Query) -> _Formula:
-    sys, k = q.system, q.k
-    phi = props_conj(sys)
+    at, k = _terms(q.system), q.k
     parts: list[Expr] = []
-    parts.extend(_path_conj(sys, k))
-    parts.extend(timed(phi, i) for i in range(1, k))
-    parts.append(ir.not_(timed(phi, k)))
+    parts.extend(_path_conj(at, k))
+    parts.extend(at["phi", i] for i in range(1, k))
+    parts.append(at["bad", k])
     return _Formula((), (), ir.conj(parts))
 
 

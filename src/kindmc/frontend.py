@@ -30,6 +30,7 @@ from . import ir
 from .errors import ConfigError, ParseError
 from .ir import (
     BOOL,
+    MAX_NESTING,
     Expr,
     Prop,
     Sort,
@@ -89,9 +90,6 @@ def _tokenize(src: str) -> list[tuple[str, int, int]]:
                 col += 1
             toks.append((src[start:i], line, scol))
     return toks
-
-
-MAX_NESTING = 200
 
 
 def _read(src: str) -> list[SNode]:

@@ -19,6 +19,11 @@ Value = Union[bool, int]
 
 MAX_WIDTH = 64
 
+# Deepest expression accepted, counted in nodes from the root to a leaf. The
+# reader bounds parenthesis nesting by the same number and validate() bounds
+# expressions built in Python, so no recursive pass overruns the stack.
+MAX_NESTING = 200
+
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -278,9 +283,24 @@ def disj(parts: Iterable[Expr]) -> Expr:
 
 
 def walk(e: Expr) -> Iterator[Expr]:
-    yield e
-    for a in e.args:
-        yield from walk(a)
+    """Every node, in pre-order, without recursion."""
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        yield n
+        if n.args:
+            stack.extend(n.args[::-1])
+
+
+def depth(e: Expr) -> int:
+    """Nodes on the longest path from e down to a leaf, counted a level at a
+    time without recursion."""
+    d = 0
+    level = [e]
+    while level:
+        d += 1
+        level = [a for n in level for a in n.args]
+    return d
 
 
 def free_names(e: Expr) -> set[str]:
@@ -401,6 +421,8 @@ class TransitionSystem:
         allow_input: bool,
         allow_next: bool,
     ) -> None:
+        if depth(e) > MAX_NESTING:
+            raise ValidationError(f"{where} is nested deeper than {MAX_NESTING} levels")
         for n in walk(e):
             if n.op == "var":
                 if n.name in state:

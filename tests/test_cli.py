@@ -16,6 +16,8 @@ from kindmc.engine import ComparisonRecord, Outcome, VerificationReport
 from kindmc.errors import DiscrepancyError
 from kindmc.ir import ReplayVerdict
 
+from systems import nested_not
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
@@ -138,6 +140,13 @@ def test_nesting_past_the_limit_exits_3(capsys, tmp_path):
     # the 201st '(' opens on line 2, after " (prop deep " and 198 "(and true "
     col = len(" (prop deep ") + 198 * len("(and true ") + 1
     assert err == f"kindmc: error: 2:{col}: expression nested deeper than 200 levels\n"
+
+
+def test_nesting_built_in_python_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "generate_benchmark", lambda spec: nested_not(3000))
+    code, out, err = _run(capsys, ["verify", "--family", "chain_bug", "--d", "3"])
+    assert (code, out) == (3, "")
+    assert err == "kindmc: error: prop deep is nested deeper than 200 levels\n"
 
 
 def test_help_exits_0(capsys):

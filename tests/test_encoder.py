@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
+from sys import getswitchinterval, setswitchinterval
 
 import pytest
 
+import kindmc.encoder as encoder_mod
 from kindmc import ir
 from kindmc.concrete import lint_halt_sink
 from kindmc.encoder import (
@@ -24,9 +27,18 @@ from kindmc.encoder import (
     timed,
 )
 from kindmc.errors import InternalError
+from kindmc.frontend import accumulator, chain_bug, const_check, diamond_parity
 from kindmc.ir import BOOL, Prop, State, Trace, TransitionSystem, VarDecl, VarRole, bitvec
 
-from systems import halt_sink, moving_halt, saturating
+from randsys import corpus
+from systems import (
+    deadlock_chain,
+    halt_sink,
+    identity_spurious,
+    input_chain,
+    moving_halt,
+    saturating,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -196,6 +208,105 @@ def test_inductive_step_shape():
     assert parts[2] == timed(phi, 1)
     assert parts[3] == timed(phi, 2)
     assert parts[4] == ir.not_(timed(phi, 3))
+
+
+# ---------------------------------------------------------------------------
+# Timed subterms shared across queries
+
+
+def _queries(sys, k):
+    """One query of every shape at depth k."""
+    zero = State({d.name: False if d.sort.is_bool else 0 for d in sys.state_vars})
+    t1, t2 = Target(zero, Trace((zero,), ()), 1, 1), Target(zero, Trace((zero,), ()), 1, 2)
+    return (
+        encode_base_case(sys, k),
+        encode_extended_base_case(sys, k, (t1, t2)),
+        encode_extended_base_case(sys, k, (t1,), include_violations=False),
+        encode_forward_condition(sys, k),
+        encode_inductive_step(sys, k),
+    )
+
+
+def test_warm_and_cold_builds_serialize_identically(monkeypatch):
+    systems = [
+        _tiny(), saturating(), halt_sink(), identity_spurious(), moving_halt(),
+        deadlock_chain(), input_chain(6), chain_bug(9), const_check(8),
+        diamond_parity(6), accumulator(4, "safe"), accumulator(4, "buggy"),
+    ] + corpus(11, 200)
+    ks = (1, 2, 3, 5)
+    cold = []
+    for sys in systems:
+        for k in ks:
+            for i in range(5):
+                monkeypatch.setattr(encoder_mod, "_last_terms", None)
+                cold.append(serialize_smtlib(_queries(sys, k)[i]))
+    # warm: deepest first, so shallower queries read subterms built earlier
+    warm = {}
+    for sys in systems:
+        for k in sorted(ks, reverse=True):
+            for i, q in enumerate(_queries(sys, k)):
+                warm[id(sys), k, i] = serialize_smtlib(q)
+    assert cold == [warm[id(sys), k, i] for sys in systems for k in ks for i in range(5)]
+
+
+def test_interleaved_systems_get_their_own_subterms():
+    a, b = _tiny(), saturating()
+    for sys in (a, b, a):
+        q = encode_forward_condition(sys, 3)
+        assert q.assertion == ir.conj([
+            timed(sys.init, 1),
+            timed(sys.trans, 1),
+            timed(sys.trans, 2),
+            ir.not_(timed(sys.halt, 3)),
+        ])
+        q = encode_inductive_step(sys, 2)
+        phi = props_conj(sys)
+        assert q.assertion == ir.conj(
+            [timed(sys.trans, 1), timed(phi, 1), ir.not_(timed(phi, 2))]
+        )
+
+
+def test_threads_querying_different_systems_get_their_own_subterms():
+    systems = [_tiny(), saturating(), halt_sink(), moving_halt()]
+    wrong = []
+
+    def work(sys):
+        for _ in range(20000):
+            if encoder_mod._terms(sys).system is not sys:
+                wrong.append(sys.name)
+
+    old = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in systems]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    for sys in systems:
+        assert encode_inductive_step(sys, 2).assertion.args[0] == timed(sys.trans, 1)
+
+
+def test_equal_but_distinct_systems_do_not_share_subterms():
+    a, b = _tiny(), _tiny()
+    assert a == b and a is not b
+    ta = encode_forward_condition(a, 2).assertion.args[1]
+    tb = encode_forward_condition(b, 2).assertion.args[1]
+    assert ta == tb and ta is not tb
+
+
+def test_queries_of_one_system_share_timed_trans():
+    sys = _tiny()
+    fwd = encode_forward_condition(sys, 4).assertion.args
+    ind = encode_inductive_step(sys, 3).assertion.args
+    base = dict(encode_base_case(sys, 3).marker_defs)
+    assert fwd[1] is ind[0] is base["path@@2"].args[1]
+    assert fwd[2] is ind[1] is base["path@@3"].args[1]
+    assert ind[4] is base["viol@@3"]
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from kindmc.engine import (
     run_plain,
     stitch,
 )
-from kindmc.errors import DiscrepancyError, InternalError
+from kindmc.errors import DiscrepancyError, InternalError, ValidationError
 from kindmc.frontend import accumulator, chain_bug, diamond_parity
-from kindmc.ir import State, Trace, replay_trace
+from kindmc.ir import MAX_NESTING, State, Trace, replay_trace
 from kindmc.solver import SolverStatus, SolverVerdict, resolve_config
 
 from systems import (
@@ -36,6 +36,7 @@ from systems import (
     identity_spurious,
     input_chain,
     moving_halt,
+    nested_not,
     saturating,
 )
 
@@ -414,3 +415,22 @@ def test_safe_families_agree():
         assert plain.outcome is ext.outcome is Outcome.CORRECT
         assert plain.k == ext.k
         assert plain.proof_source is ext.proof_source
+
+
+# ---------------------------------------------------------------------------
+# Nesting built through the Python API
+
+
+@pytest.mark.parametrize("depth", [600, 3000])
+def test_nesting_past_the_bound_is_a_validation_error(depth):
+    for engine in (run_plain, run_extended):
+        with pytest.raises(ValidationError, match="nested deeper than"):
+            engine(nested_not(depth))
+
+
+def test_nesting_at_the_bound_still_verifies():
+    rec = compare(nested_not(MAX_NESTING))
+    assert rec.plain.outcome is rec.extended.outcome is Outcome.CORRECT
+    rec = compare(nested_not(MAX_NESTING - 1))
+    assert rec.plain.outcome is rec.extended.outcome is Outcome.BUG_FOUND
+    assert rec.plain.k == rec.extended.k == 1

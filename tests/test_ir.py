@@ -22,6 +22,8 @@ from kindmc.ir import (
     states_equal,
 )
 
+from systems import nested_not
+
 
 # ---------------------------------------------------------------------------
 # Sorts and constants
@@ -164,6 +166,21 @@ def test_free_and_next_names():
     assert ir.next_names(e) == {"x"}
 
 
+def test_walk_is_preorder_and_depth_counts_nodes():
+    x = ir.var("x", bitvec(2))
+    one = ir.bv_const(1, 2)
+    e = ir.and_(ir.eq(x, one), ir.not_(ir.var("go", BOOL)))
+    assert [n.op for n in ir.walk(e)] == ["and", "=", "var", "const", "not", "var"]
+    assert ir.depth(x) == 1
+    assert ir.depth(e) == 3
+
+
+def test_walk_and_depth_do_not_recurse():
+    prop = nested_not(3000).props[0].expr
+    assert ir.depth(prop) == 3000
+    assert sum(1 for _ in ir.walk(prop)) == 3000 + 1
+
+
 # ---------------------------------------------------------------------------
 # Evaluation semantics. Bit-vector ops are checked exhaustively against
 # plain integer arithmetic for small widths.
@@ -263,6 +280,28 @@ def _sys(vars=None, init=None, trans=None, props=None, halt=None):
 
 def test_validate_ok():
     _sys().validate()
+
+
+def test_validate_accepts_nesting_at_the_bound():
+    nested_not(ir.MAX_NESTING).validate()
+
+
+@pytest.mark.parametrize("depth", [ir.MAX_NESTING + 1, 600, 3000])
+def test_validate_rejects_nesting_past_the_bound(depth):
+    with pytest.raises(ValidationError, match="prop deep is nested deeper than 200 levels"):
+        nested_not(depth).validate()
+
+
+def test_validate_bounds_every_section():
+    deep = nested_not(600).props[0].expr
+    w = bitvec(2)
+    x = ir.var("x", w)
+    with pytest.raises(ValidationError, match="init is nested"):
+        _sys(init=ir.and_(deep, ir.eq(x, ir.bv_const(0, 2)))).validate()
+    with pytest.raises(ValidationError, match="trans is nested"):
+        _sys(trans=ir.and_(deep, ir.eq(ir.next_var("x", w), x))).validate()
+    with pytest.raises(ValidationError, match="halt is nested"):
+        _sys(halt=deep).validate()
 
 
 def test_validate_duplicate_declaration():
