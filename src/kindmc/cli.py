@@ -178,8 +178,6 @@ def _engine_config(args: argparse.Namespace, parser: _Parser) -> EngineConfig:
         "external:"
     ):
         parser.error("--solver must be enum or external:<command>")
-    if args.max_k < 1:
-        parser.error("--max-k must be at least 1")
     return EngineConfig(
         max_k=args.max_k,
         solver=resolve_config(args.solver, timeout_ms=args.timeout_ms),

@@ -42,6 +42,8 @@ EvalFn = Callable[..., Value]
 
 DEFAULT_STATE_BIT_CAP = 20
 DEFAULT_INPUT_BIT_CAP = 16
+# lint_halt_sink enumerates every state, so it gives up on larger systems.
+HALT_SINK_BIT_CAP = 16
 
 
 def _domain(sort: Sort) -> Sequence[Value]:
@@ -150,7 +152,9 @@ def _as_definition(c: Expr, kind: str) -> Optional[tuple[str, Expr]]:
 class SystemExecutor:
     """Memoized concrete semantics for one system.
 
-    State and input valuations are plain tuples in declaration order.
+    The system is well-formed already, since TransitionSystem validates
+    itself when built; only the bit caps are checked here. State and input
+    valuations are plain tuples in declaration order.
     """
 
     def __init__(
@@ -159,7 +163,6 @@ class SystemExecutor:
         state_bit_cap: int = DEFAULT_STATE_BIT_CAP,
         input_bit_cap: int = DEFAULT_INPUT_BIT_CAP,
     ) -> None:
-        sys.validate()
         if sys.state_bits > state_bit_cap:
             raise ConfigError(
                 f"system has {sys.state_bits} state bits, cap is {state_bit_cap}"
@@ -417,14 +420,15 @@ def _unwind(
     return states, inputs
 
 
-def lint_halt_sink(sys: TransitionSystem, bit_cap: int = 16) -> Optional[bool]:
+def lint_halt_sink(sys: TransitionSystem) -> Optional[bool]:
     """True if every halting state only steps to itself, False if some
-    halting state can move, None when the state space is too large to
-    check. A forward-condition proof is only meaningful when halting
-    states are sinks; the engine warns otherwise."""
-    if sys.state_bits > bit_cap or sys.input_bits > bit_cap:
+    halting state can move, None when the state or input space is over
+    HALT_SINK_BIT_CAP bits. A forward-condition proof is only meaningful
+    when halting states are sinks; the engine warns otherwise."""
+    cap = HALT_SINK_BIT_CAP
+    if sys.state_bits > cap or sys.input_bits > cap:
         return None
-    ex = SystemExecutor(sys, state_bit_cap=bit_cap, input_bit_cap=bit_cap)
+    ex = SystemExecutor(sys, state_bit_cap=cap, input_bit_cap=cap)
     for s in ex.all_states():
         if ex.halt_fn(s) and any(nxt != s for _, nxt in ex.successors(s)):
             return False

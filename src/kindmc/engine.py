@@ -39,7 +39,7 @@ from .encoder import (
     encode_forward_condition,
     encode_inductive_step,
 )
-from .errors import DiscrepancyError, InternalError
+from .errors import ConfigError, DiscrepancyError, InternalError
 from .ir import Trace, TransitionSystem, replay_trace, states_equal
 from .solver import (
     DecodedModel,
@@ -75,6 +75,10 @@ class EngineConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     target_recheck: TargetRecheck = TargetRecheck.SAME_ITERATION
     validate: bool = True
+
+    def __post_init__(self) -> None:
+        if self.max_k < 1:
+            raise ConfigError(f"max_k must be at least 1, got {self.max_k}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,6 @@ def run(sys: TransitionSystem, mode: str, cfg: Optional[EngineConfig] = None) ->
 
 
 def _run(sys: TransitionSystem, cfg: EngineConfig, extended: bool) -> VerificationReport:
-    sys.validate()
     t0 = time.perf_counter()
     solver = Solver(cfg.solver)
     mode = "extended" if extended else "plain"

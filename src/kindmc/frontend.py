@@ -436,9 +436,7 @@ def parse(text: str, name: str = "system") -> TransitionSystem:
         for pname, pnode in prop_nodes
     )
 
-    sys = TransitionSystem(tuple(decls), init, trans, props, halt, name=name)
-    sys.validate()
-    return sys
+    return TransitionSystem(tuple(decls), init, trans, props, halt, name=name)
 
 
 def parse_file(path: Union[str, Path]) -> TransitionSystem:
@@ -503,7 +501,7 @@ def chain_bug(d: int) -> TransitionSystem:
     _check_d(d)
     w = _width_for(d + 1)
     x = ir.var("x", bitvec(w))
-    sys = TransitionSystem(
+    return TransitionSystem(
         vars=(VarDecl("x", bitvec(w), VarRole.STATE),),
         init=ir.eq(x, ir.bv_const(0, w)),
         trans=ir.eq(ir.next_var("x", bitvec(w)), ir.bvadd(x, ir.bv_const(1, w))),
@@ -511,8 +509,6 @@ def chain_bug(d: int) -> TransitionSystem:
         halt=ir.FALSE,
         name=f"chain_bug_d{d}",
     )
-    sys.validate()
-    return sys
 
 
 def diamond_parity(d: int) -> TransitionSystem:
@@ -531,7 +527,7 @@ def diamond_parity(d: int) -> TransitionSystem:
     x = ir.var("x", bitvec(wx))
     c = ir.var("c", BOOL)
     running = ir.bvult(i, ir.bv_const(d, wi))
-    sys = TransitionSystem(
+    return TransitionSystem(
         vars=(
             VarDecl("i", bitvec(wi), VarRole.STATE),
             VarDecl("x", bitvec(wx), VarRole.STATE),
@@ -564,8 +560,6 @@ def diamond_parity(d: int) -> TransitionSystem:
         halt=ir.FALSE,
         name=f"diamond_parity_d{d}",
     )
-    sys.validate()
-    return sys
 
 
 def const_check(d: int) -> TransitionSystem:
@@ -580,7 +574,7 @@ def const_check(d: int) -> TransitionSystem:
     w = _width_for(d + 1)
     i = ir.var("i", bitvec(w))
     done = ir.var("done", BOOL)
-    sys = TransitionSystem(
+    return TransitionSystem(
         vars=(
             VarDecl("i", bitvec(w), VarRole.STATE),
             VarDecl("done", BOOL, VarRole.STATE),
@@ -597,8 +591,6 @@ def const_check(d: int) -> TransitionSystem:
         halt=ir.FALSE,
         name=f"const_check_d{d}",
     )
-    sys.validate()
-    return sys
 
 
 def accumulator(d: int, variant: str) -> TransitionSystem:
@@ -629,7 +621,7 @@ def accumulator(d: int, variant: str) -> TransitionSystem:
     ]
     if variant == "buggy":
         props.append(Prop("sum_below_target", ir.not_(ir.eq(sn, ir.bv_const(2 * d, w)))))
-    sys = TransitionSystem(
+    return TransitionSystem(
         vars=(
             VarDecl("n", bitvec(w), VarRole.STATE),
             VarDecl("i", bitvec(w), VarRole.STATE),
@@ -645,8 +637,6 @@ def accumulator(d: int, variant: str) -> TransitionSystem:
         halt=ir.bvuge(i, n),
         name=f"accumulator_{variant}_d{d}",
     )
-    sys.validate()
-    return sys
 
 
 def _check_d(d: int) -> None:

@@ -349,6 +349,9 @@ class TransitionSystem:
     vars holds state and input declarations in declaration order. init, the
     props, and halt range over state variables only; trans may additionally
     reference input variables and next(x) for state variables x.
+
+    A system is validated when it is built: constructing an ill-formed one
+    raises ValidationError or SortError, so every instance is well-formed.
     """
 
     vars: tuple[VarDecl, ...]
@@ -357,6 +360,9 @@ class TransitionSystem:
     props: tuple[Prop, ...]
     halt: Expr
     name: str = field(default="system", compare=False)
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def state_vars(self) -> tuple[VarDecl, ...]:

@@ -66,10 +66,14 @@ class SolverConfig:
     timeout_ms: int = 0
     enum_bit_cap: int = 24
 
+    def __post_init__(self) -> None:
+        if self.backend not in ("enum", "external"):
+            raise ConfigError(f"solver backend must be enum or external, got {self.backend!r}")
+        if self.backend == "external" and not self.command:
+            raise ConfigError("external solver command is empty")
 
-def resolve_config(
-    solver_arg: Optional[str] = None, timeout_ms: int = 0, enum_bit_cap: int = 24
-) -> SolverConfig:
+
+def resolve_config(solver_arg: Optional[str] = None, timeout_ms: int = 0) -> SolverConfig:
     """Build a SolverConfig from a --solver argument, falling back to the
     KINDMC_SOLVER environment variable, then to the built-in backend.
     Accepted forms: "enum", "external:<command line>", or (env only) a bare
@@ -78,13 +82,10 @@ def resolve_config(
     if spec is None:
         spec = os.environ.get("KINDMC_SOLVER") or None
     if spec is None or spec == "enum":
-        return SolverConfig("enum", (), timeout_ms, enum_bit_cap)
+        return SolverConfig("enum", (), timeout_ms)
     if spec.startswith("external:"):
         spec = spec[len("external:") :]
-    cmd = tuple(shlex.split(spec))
-    if not cmd:
-        raise ConfigError("external solver command is empty")
-    return SolverConfig("external", cmd, timeout_ms, enum_bit_cap)
+    return SolverConfig("external", tuple(shlex.split(spec)), timeout_ms)
 
 
 # ---------------------------------------------------------------------------

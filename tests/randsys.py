@@ -112,9 +112,7 @@ def make_system(
         Prop(f"p{i}", _rand_expr(rng, BOOL, state, 2)) for i in range(rng.randint(1, 2))
     )
 
-    sys = TransitionSystem(tuple(decls), init, trans, props, ir.FALSE, name=name)
-    sys.validate()
-    return sys
+    return TransitionSystem(tuple(decls), init, trans, props, ir.FALSE, name=name)
 
 
 def corpus(

@@ -130,20 +130,24 @@ def input_chain(d: int) -> TransitionSystem:
     )
 
 
-def nested_not(depth: int) -> TransitionSystem:
-    """A 2-bit stuck counter whose property is x <= 3 under depth - 2
-    `not`s, so the property's expression is `depth` nodes deep. An even
-    number of `not`s keeps it true everywhere; an odd one makes the
-    initial state a bug."""
-    x = ir.var("x", bitvec(2))
-    prop = ir.bvule(x, ir.bv_const(3, 2))
+def not_chain(depth: int) -> ir.Expr:
+    """x <= 3 over a 2-bit x under depth - 2 `not`s: an expression `depth`
+    nodes deep. An even number of `not`s keeps it true everywhere."""
+    prop = ir.bvule(ir.var("x", bitvec(2)), ir.bv_const(3, 2))
     for _ in range(depth - 2):
         prop = ir.not_(prop)
+    return prop
+
+
+def nested_not(depth: int) -> TransitionSystem:
+    """A 2-bit stuck counter whose property is not_chain(depth). An odd
+    number of `not`s makes the initial state a bug."""
+    x = ir.var("x", bitvec(2))
     return TransitionSystem(
         vars=(VarDecl("x", bitvec(2), VarRole.STATE),),
         init=ir.eq(x, ir.bv_const(0, 2)),
         trans=ir.eq(ir.next_var("x", bitvec(2)), x),
-        props=(Prop("deep", prop),),
+        props=(Prop("deep", not_chain(depth)),),
         halt=ir.FALSE,
         name=f"nested_not_{depth}",
     )

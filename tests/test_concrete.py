@@ -92,7 +92,6 @@ def test_enumeration_is_deterministic_and_ascending():
         props=(ir.Prop("p", ir.TRUE),),
         halt=ir.FALSE,
     )
-    sys.validate()
     ex = SystemExecutor(sys)
     got = ex.initial_states()
     assert got == tuple((b, v) for b in (False, True) for v in range(4))
@@ -160,7 +159,6 @@ def test_violated_prop_reports_first_false():
         ),
         halt=ir.FALSE,
     )
-    sys.validate()
     ex = SystemExecutor(sys)
     assert ex.violated_prop((0,)) is None
     assert ex.violated_prop((2,)) == "b"
@@ -178,6 +176,5 @@ def test_residual_only_transitions():
         props=(ir.Prop("p", ir.TRUE),),
         halt=ir.FALSE,
     )
-    sys.validate()
     ex = SystemExecutor(sys)
     assert ex.successors((3,)) == (((), (0,)), ((), (1,)))

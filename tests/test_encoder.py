@@ -10,7 +10,7 @@ import pytest
 
 import kindmc.encoder as encoder_mod
 from kindmc import ir
-from kindmc.concrete import lint_halt_sink
+from kindmc.concrete import HALT_SINK_BIT_CAP, lint_halt_sink
 from kindmc.encoder import (
     Marker,
     QueryKind,
@@ -48,7 +48,7 @@ def _tiny():
     w = bitvec(2)
     x = ir.var("x", w)
     c = ir.var("c", BOOL)
-    sys = TransitionSystem(
+    return TransitionSystem(
         vars=(VarDecl("x", w, VarRole.STATE), VarDecl("c", BOOL, VarRole.INPUT)),
         init=ir.eq(x, ir.bv_const(0, 2)),
         trans=ir.eq(
@@ -57,8 +57,6 @@ def _tiny():
         props=(Prop("p", ir.not_(ir.eq(x, ir.bv_const(3, 2)))),),
         halt=ir.FALSE,
     )
-    sys.validate()
-    return sys
 
 
 def _target(tid=1, x=2):
@@ -362,4 +360,6 @@ def test_lint_halt_sink_negative():
 
 
 def test_lint_halt_sink_gives_up_over_cap():
-    assert lint_halt_sink(halt_sink(), bit_cap=2) is None
+    big = accumulator(16, "safe")
+    assert big.state_bits > HALT_SINK_BIT_CAP
+    assert lint_halt_sink(big) is None

@@ -8,6 +8,8 @@ k or witness-length change.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import kindmc.engine as engine_mod
@@ -25,9 +27,9 @@ from kindmc.engine import (
     run_plain,
     stitch,
 )
-from kindmc.errors import DiscrepancyError, InternalError, ValidationError
-from kindmc.frontend import accumulator, chain_bug, diamond_parity
-from kindmc.ir import MAX_NESTING, State, Trace, replay_trace
+from kindmc.errors import ConfigError, DiscrepancyError, InternalError, ValidationError
+from kindmc.frontend import accumulator, chain_bug, diamond_parity, parse_file
+from kindmc.ir import MAX_NESTING, State, Trace, TransitionSystem, replay_trace
 from kindmc.solver import SolverStatus, SolverVerdict, resolve_config
 
 from systems import (
@@ -39,6 +41,8 @@ from systems import (
     nested_not,
     saturating,
 )
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +185,12 @@ def test_bound_exhausted():
     assert rep.outcome is Outcome.BOUND_EXHAUSTED
     assert rep.k == 4
     assert rep.witness is None
+
+
+@pytest.mark.parametrize("max_k", [0, -5])
+def test_max_k_below_one_is_rejected(max_k):
+    with pytest.raises(ConfigError, match="max_k must be at least 1"):
+        EngineConfig(max_k=max_k)
 
 
 # ---------------------------------------------------------------------------
@@ -434,3 +444,24 @@ def test_nesting_at_the_bound_still_verifies():
     rec = compare(nested_not(MAX_NESTING - 1))
     assert rec.plain.outcome is rec.extended.outcome is Outcome.BUG_FOUND
     assert rec.plain.k == rec.extended.k == 1
+
+
+# ---------------------------------------------------------------------------
+# Systems are validated once, when they are built
+
+
+@pytest.mark.parametrize(
+    "name, proof", [("chain5.kts", None), ("halt_sink.kts", ProofSource.FORWARD)]
+)
+def test_parse_and_compare_validate_once(monkeypatch, name, proof):
+    calls = []
+    validate = TransitionSystem.validate
+
+    def counting(self):
+        calls.append(self.name)
+        validate(self)
+
+    monkeypatch.setattr(TransitionSystem, "validate", counting)
+    rec = compare(parse_file(BENCH_DIR / name))
+    assert len(calls) == 1
+    assert rec.plain.proof_source is proof  # a forward proof runs the halt-sink lint

@@ -22,7 +22,7 @@ from kindmc.ir import (
     states_equal,
 )
 
-from systems import nested_not
+from systems import nested_not, not_chain
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,7 @@ def test_walk_is_preorder_and_depth_counts_nodes():
 
 
 def test_walk_and_depth_do_not_recurse():
-    prop = nested_not(3000).props[0].expr
+    prop = not_chain(3000)
     assert ir.depth(prop) == 3000
     assert sum(1 for _ in ir.walk(prop)) == 3000 + 1
 
@@ -293,95 +293,89 @@ def test_validate_rejects_nesting_past_the_bound(depth):
 
 
 def test_validate_bounds_every_section():
-    deep = nested_not(600).props[0].expr
+    deep = not_chain(600)
     w = bitvec(2)
     x = ir.var("x", w)
     with pytest.raises(ValidationError, match="init is nested"):
-        _sys(init=ir.and_(deep, ir.eq(x, ir.bv_const(0, 2)))).validate()
+        _sys(init=ir.and_(deep, ir.eq(x, ir.bv_const(0, 2))))
     with pytest.raises(ValidationError, match="trans is nested"):
-        _sys(trans=ir.and_(deep, ir.eq(ir.next_var("x", w), x))).validate()
+        _sys(trans=ir.and_(deep, ir.eq(ir.next_var("x", w), x)))
     with pytest.raises(ValidationError, match="halt is nested"):
-        _sys(halt=deep).validate()
+        _sys(halt=deep)
 
 
 def test_validate_duplicate_declaration():
     w = bitvec(2)
-    s = _sys(vars=(VarDecl("x", w, VarRole.STATE), VarDecl("x", w, VarRole.INPUT)))
     with pytest.raises(ValidationError, match="duplicate"):
-        s.validate()
+        _sys(vars=(VarDecl("x", w, VarRole.STATE), VarDecl("x", w, VarRole.INPUT)))
 
 
 def test_validate_needs_state_var():
-    s = _sys(
-        vars=(VarDecl("c", BOOL, VarRole.INPUT),),
-        init=ir.TRUE,
-        trans=ir.TRUE,
-        props=(Prop("p", ir.TRUE),),
-    )
     with pytest.raises(ValidationError, match="state variable"):
-        s.validate()
+        _sys(
+            vars=(VarDecl("c", BOOL, VarRole.INPUT),),
+            init=ir.TRUE,
+            trans=ir.TRUE,
+            props=(Prop("p", ir.TRUE),),
+        )
 
 
 def test_validate_needs_props():
     with pytest.raises(ValidationError, match="property"):
-        _sys(props=()).validate()
+        _sys(props=())
 
 
 def test_validate_duplicate_prop_names():
-    s = _sys(props=(Prop("p", ir.TRUE), Prop("p", ir.FALSE)))
     with pytest.raises(ValidationError, match="duplicate property"):
-        s.validate()
+        _sys(props=(Prop("p", ir.TRUE), Prop("p", ir.FALSE)))
 
 
 def test_validate_input_not_allowed_in_init():
     w = bitvec(2)
-    s = _sys(
-        vars=(VarDecl("x", w, VarRole.STATE), VarDecl("c", BOOL, VarRole.INPUT)),
-        init=ir.var("c", BOOL),
-    )
     with pytest.raises(ValidationError, match="input variable"):
-        s.validate()
+        _sys(
+            vars=(VarDecl("x", w, VarRole.STATE), VarDecl("c", BOOL, VarRole.INPUT)),
+            init=ir.var("c", BOOL),
+        )
 
 
 def test_validate_input_not_allowed_in_prop():
     w = bitvec(2)
-    s = _sys(
-        vars=(VarDecl("x", w, VarRole.STATE), VarDecl("c", BOOL, VarRole.INPUT)),
-        props=(Prop("p", ir.var("c", BOOL)),),
-    )
     with pytest.raises(ValidationError, match="input variable"):
-        s.validate()
+        _sys(
+            vars=(VarDecl("x", w, VarRole.STATE), VarDecl("c", BOOL, VarRole.INPUT)),
+            props=(Prop("p", ir.var("c", BOOL)),),
+        )
 
 
 def test_validate_next_outside_trans():
     w = bitvec(2)
     nx = ir.next_var("x", w)
     with pytest.raises(ValidationError, match="next"):
-        _sys(init=ir.eq(nx, ir.bv_const(0, 2))).validate()
+        _sys(init=ir.eq(nx, ir.bv_const(0, 2)))
     with pytest.raises(ValidationError, match="next"):
-        _sys(halt=ir.eq(nx, ir.bv_const(0, 2))).validate()
+        _sys(halt=ir.eq(nx, ir.bv_const(0, 2)))
 
 
 def test_validate_next_must_name_state_var():
     w = bitvec(2)
-    s = _sys(trans=ir.eq(ir.next_var("nope", w), ir.bv_const(0, 2)))
     with pytest.raises(ValidationError, match="state variable"):
-        s.validate()
+        _sys(trans=ir.eq(ir.next_var("nope", w), ir.bv_const(0, 2)))
 
 
 def test_validate_undeclared_and_sort_mismatch():
     with pytest.raises(ValidationError, match="undeclared"):
-        _sys(init=ir.var("ghost", BOOL)).validate()
+        _sys(init=ir.var("ghost", BOOL))
     # x declared (bv 2), used as (bv 3)
     bad = ir.eq(ir.var("x", bitvec(3)), ir.bv_const(0, 3))
     with pytest.raises(SortError, match="declared sort"):
-        _sys(init=bad).validate()
+        _sys(init=bad)
 
 
 def test_validate_sections_must_be_boolean():
     x = ir.var("x", bitvec(2))
     with pytest.raises(ValidationError, match="boolean"):
-        _sys(init=x).validate()
+        _sys(init=x)
 
 
 def test_invalid_identifier_rejected():

@@ -213,7 +213,6 @@ def test_naive_used_when_state_space_exceeds_cap():
         props=(ir.Prop("p", ir.TRUE),),
         halt=ir.FALSE,
     )
-    sys.validate()
     v = check(encode_base_case(sys, 1))
     assert v.status is SolverStatus.UNKNOWN
     assert "external solver" in v.diagnostic
@@ -239,7 +238,7 @@ def _wide_input_system():
     2 bits; a k=2 query needs 2 + 23 + 2 = 27."""
     ws, wi = ir.bitvec(2), ir.bitvec(23)
     x, c = ir.var("x", ws), ir.var("c", wi)
-    sys = ir.TransitionSystem(
+    return ir.TransitionSystem(
         vars=(ir.VarDecl("x", ws, ir.VarRole.STATE), ir.VarDecl("c", wi, ir.VarRole.INPUT)),
         init=ir.eq(x, ir.const(0, ws)),
         trans=ir.eq(
@@ -249,8 +248,6 @@ def _wide_input_system():
         props=(ir.Prop("nonzero", ir.not_(ir.eq(x, ir.const(0, ws)))),),
         halt=ir.FALSE,
     )
-    sys.validate()
-    return sys
 
 
 def test_naive_answers_when_inputs_break_the_cap():
@@ -375,8 +372,17 @@ def test_resolve_empty_command_rejected(monkeypatch):
 
 def test_resolve_carries_options(monkeypatch):
     monkeypatch.delenv("KINDMC_SOLVER", raising=False)
-    cfg = resolve_config("enum", timeout_ms=1234, enum_bit_cap=9)
-    assert cfg.timeout_ms == 1234 and cfg.enum_bit_cap == 9
+    assert resolve_config("enum", timeout_ms=1234).timeout_ms == 1234
+
+
+def test_config_rejects_unknown_backend():
+    with pytest.raises(ConfigError, match="enum or external, got 'z3'"):
+        SolverConfig(backend="z3")
+
+
+def test_config_rejects_external_without_command():
+    with pytest.raises(ConfigError, match="empty"):
+        SolverConfig(backend="external")
 
 
 # ---------------------------------------------------------------------------
