@@ -173,11 +173,7 @@ def _load_system(args: argparse.Namespace, parser: _Parser) -> TransitionSystem:
     raise AssertionError("unreachable")
 
 
-def _engine_config(args: argparse.Namespace, parser: _Parser) -> EngineConfig:
-    if args.solver is not None and args.solver != "enum" and not args.solver.startswith(
-        "external:"
-    ):
-        parser.error("--solver must be enum or external:<command>")
+def _engine_config(args: argparse.Namespace) -> EngineConfig:
     return EngineConfig(
         max_k=args.max_k,
         solver=resolve_config(args.solver, timeout_ms=args.timeout_ms),
@@ -255,7 +251,7 @@ def _exit_for(outcome: Outcome) -> int:
 
 def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     sys_ = _load_system(args, parser)
-    cfg = _engine_config(args, parser)
+    cfg = _engine_config(args)
     report = run(sys_, args.engine, cfg)
     _print_report(report, sys_.name, args.output)
     return _exit_for(report.outcome)
@@ -273,7 +269,7 @@ def _comparison_obj(rec: ComparisonRecord, benchmark: str) -> dict:
 
 def _cmd_compare(args: argparse.Namespace, parser: _Parser) -> int:
     sys_ = _load_system(args, parser)
-    cfg = _engine_config(args, parser)
+    cfg = _engine_config(args)
     rec = compare(sys_, cfg)
     if args.output == "json":
         print(json.dumps(_comparison_obj(rec, sys_.name), indent=2, sort_keys=True))
@@ -337,7 +333,7 @@ def _bench_table(records: list[dict]) -> list[str]:
 
 
 def _cmd_bench(args: argparse.Namespace, parser: _Parser) -> int:
-    cfg = _engine_config(args, parser)
+    cfg = _engine_config(args)
     specs = _SUITES[args.suite]
     records = [_bench_one(s, cfg) for s in specs]
     bug_pairs = [

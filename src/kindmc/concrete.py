@@ -12,18 +12,31 @@ tuples follow variable declaration order, and enumeration is ascending with
 the first declared variable most significant (itertools.product order).
 Bool orders as false < true.
 
+A SystemExecutor keeps per-state rows, each filled on its first lookup and
+then read by dict lookups alone: a state's distinct next states in
+discovery order, the good ones among them (those satisfying every
+property), and its first bad one. The good states themselves, in
+enumeration order, are computed once. So no edge is interpreted in Python
+again after its first visit, however many queries walk it.
+
 find_path is the one breadth-first path search over concrete states. The
 enum backend answers every query kind with it, from the initial states for
-base cases and the forward condition and from all states for the inductive
-step, and it rebuilds the path from per-depth link maps. Ties go to the
-first state discovered, so the enumeration order above fixes every witness.
-lint_halt_sink checks that halting states are sinks, which a
-forward-condition proof relies on.
+base cases and the forward condition and from the good states for the
+inductive step. Each layer is built from the rows of the one before, and a
+path is rebuilt only once a goal is found, by taking each state's first
+predecessor in the previous layer. Ties go to the first state discovered,
+so the enumeration order above fixes every witness.
+
+shared_executor holds the executor of the last system queried, so both
+engines of a `compare` share its rows. lint_halt_sink checks that halting
+states are sinks, which a forward-condition proof relies on.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import weakref
+from itertools import chain, compress, filterfalse, islice, product, repeat
+from operator import contains, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ConfigError, InternalError
@@ -206,6 +219,12 @@ class SystemExecutor:
 
         self._succ_memo: dict[tuple, tuple[tuple[tuple, tuple], ...]] = {}
         self._initial: Optional[tuple[tuple, ...]] = None
+        self._good: Optional[tuple[tuple, ...]] = None
+        self._good_set: frozenset[tuple] = frozenset()
+        self._tuples: dict[State, tuple] = {}
+        self.next_rows = _Rows(self, SystemExecutor._next_row)
+        self.good_rows = _Rows(self, SystemExecutor._good_row)
+        self.bad_rows = _Rows(self, SystemExecutor._bad_row)
 
     # -- structure extraction
 
@@ -312,6 +331,27 @@ class SystemExecutor:
         """Every state of the declared domains, in ascending order."""
         return product(*self._state_domains)
 
+    def good_states(self) -> tuple[tuple, ...]:
+        """Every state that satisfies all properties, in ascending order."""
+        if self._good is None:
+            good = tuple(s for s in self.all_states() if self.violated_prop(s) is None)
+            self._good_set = frozenset(good)
+            self._good = good
+        return self._good
+
+    # -- rows, filled on first lookup
+
+    def _next_row(self, s: tuple) -> tuple[tuple, ...]:
+        return tuple(dict.fromkeys(map(itemgetter(1), self.successors(s))))
+
+    def _good_row(self, s: tuple) -> tuple[tuple, ...]:
+        self.good_states()
+        return tuple(filter(self._good_set.__contains__, self.next_rows[s]))
+
+    def _bad_row(self, s: tuple) -> tuple[tuple, ...]:
+        self.good_states()
+        return tuple(islice(filterfalse(self._good_set.__contains__, self.next_rows[s]), 1))
+
     # -- conversions
 
     def state_obj(self, t: tuple) -> State:
@@ -321,11 +361,16 @@ class SystemExecutor:
         return State(dict(zip(self.input_names, t)))
 
     def state_tuple(self, st: State) -> tuple:
-        if st.names() != tuple(sorted(self.state_names)):
-            raise InternalError(
-                f"state binds {st.names()}, system declares {tuple(sorted(self.state_names))}"
-            )
-        return tuple(st[n] for n in self.state_names)
+        """The value tuple of a state; memoised, since every extended base
+        case asks again for each target's first state."""
+        t = self._tuples.get(st)
+        if t is None:
+            if st.names() != tuple(sorted(self.state_names)):
+                raise InternalError(
+                    f"state binds {st.names()}, system declares {tuple(sorted(self.state_names))}"
+                )
+            t = self._tuples[st] = tuple(st[n] for n in self.state_names)
+        return t
 
     def violated_prop(self, t: tuple) -> Optional[str]:
         """Name of the first declared property false at this state, if any."""
@@ -336,85 +381,123 @@ class SystemExecutor:
 
 
 # ---------------------------------------------------------------------------
-# Path search
+# Rows and the shared executor
 
-Link = Optional[tuple[tuple, tuple]]  # (previous state, input) or None at a root
+
+class _Rows(dict):
+    """state -> tuple of states, each row made by fill(executor, state) on
+    its first lookup, so that map(rows.__getitem__, states) runs without a
+    Python frame once the rows are filled. The executor is held weakly:
+    it owns the rows, and a cycle would keep both alive until the cyclic
+    garbage collector ran."""
+
+    __slots__ = ("_ex", "_fill")
+
+    def __init__(
+        self,
+        ex: SystemExecutor,
+        fill: Callable[[SystemExecutor, tuple], tuple[tuple, ...]],
+    ) -> None:
+        super().__init__()
+        self._ex = weakref.ref(ex)
+        self._fill = fill
+
+    def __missing__(self, s: tuple) -> tuple[tuple, ...]:
+        row = self[s] = self._fill(self._ex(), s)
+        return row
+
+
+# One slot, like the encoder's timed terms: `compare` runs both engines on
+# the same system object, and every query of a run asks about its system.
+# Keyed by identity, since systems hash by value, recursively.
+_last_executor: Optional[SystemExecutor] = None
+
+
+def shared_executor(
+    sys: TransitionSystem, build: Callable[[TransitionSystem], SystemExecutor]
+) -> SystemExecutor:
+    """The executor of sys: the one in the slot if it was built for this
+    very object, otherwise build(sys), which then takes the slot."""
+    # Read the slot once, so a caller in another thread that replaces it
+    # cannot hand this caller another system's executor.
+    global _last_executor
+    ex = _last_executor
+    if ex is None or ex.system is not sys:
+        ex = _last_executor = build(sys)
+    return ex
+
+
+# ---------------------------------------------------------------------------
+# Path search
 
 
 def find_path(
     ex: SystemExecutor,
+    rows: Mapping[tuple, tuple[tuple, ...]],
     roots: Iterable[tuple],
     k: int,
     goal: Callable[[tuple], bool],
-    keep: Optional[Callable[[tuple], bool]] = None,
     exact: bool = False,
+    last_rows: Optional[Mapping[tuple, tuple[tuple, ...]]] = None,
 ) -> Optional[tuple[list[tuple], list[tuple]]]:
     """Breadth-first search from distinct roots for the first discovered
-    goal state.
+    goal state, expanding each state into rows[state].
 
     By default the path found is a shortest one of at most k states, and a
     state is discovered only once across all depths. With exact, the path
     has exactly k states: each depth keeps its own discovered states and
-    goal is only tested at depth k. Only states that pass keep are
-    expanded. Ties go to the first state discovered, in root order and
-    then successor order. Returns the path's states and inputs, or None.
+    goal is only tested at depth k, among the states that last_rows
+    (default rows) offers. last_rows may leave out states that cannot be
+    goals but must keep each row's order. Ties go to the first state
+    discovered, in root order and then row order. Returns the path's
+    states and inputs, or None.
     """
-    layers: list[dict[tuple, Link]] = []
-    seen: set[tuple] = set()
-    layer: dict[tuple, Link]
-    if exact and k > 1:
-        # no goal test at depth 1; the inductive step's roots are every
-        # state, so filter them without a Python-level loop
-        layer = dict.fromkeys(roots if keep is None else filter(keep, roots))
-    else:
-        layer = {}
-        for s in roots:
-            if goal(s):
-                return [s], []
-            if k > 1:
-                seen.add(s)
-                if keep is None or keep(s):
-                    layer[s] = None
+    if k == 1:
+        hit = next(filter(goal, roots), None)
+        return None if hit is None else ([hit], [])
+    layer = dict.fromkeys(roots)
+    if not exact:
+        hit = next(filter(goal, layer), None)
+        if hit is not None:
+            return [hit], []
+        seen = set(layer)
+    layers = [layer]
     for depth in range(2, k + 1):
         if not layer:
             return None
+        if exact and depth == k:
+            goals = rows if last_rows is None else last_rows
+            step = chain.from_iterable(map(goals.__getitem__, layer))
+            hit = next(filter(goal, step), None)
+            return None if hit is None else _rebuild(ex, hit, layers)
+        step = chain.from_iterable(map(rows.__getitem__, layer))
+        if exact:
+            layer = dict.fromkeys(step)
+        else:
+            layer = dict.fromkeys(filterfalse(seen.__contains__, step))
+            hit = next(filter(goal, layer), None)
+            if hit is not None:
+                return _rebuild(ex, hit, layers)
+            seen.update(layer)
         layers.append(layer)
-        frontier, layer = layer, {}
-        last = depth == k
-        for s in frontier:
-            for u, ns in ex.successors(s):
-                if exact:
-                    if last:  # a repeat fails goal again; no need to record it
-                        if goal(ns):
-                            return _unwind(ns, (s, u), layers)
-                        continue
-                    if ns in layer:
-                        continue
-                elif ns in seen:
-                    continue
-                else:
-                    seen.add(ns)
-                    if goal(ns):
-                        return _unwind(ns, (s, u), layers)
-                if not last and (keep is None or keep(ns)):
-                    layer[ns] = (s, u)
     return None
 
 
-def _unwind(
-    state: tuple, link: Link, layers: Sequence[Mapping[tuple, Link]]
+def _rebuild(
+    ex: SystemExecutor, state: tuple, layers: Sequence[Iterable[tuple]]
 ) -> tuple[list[tuple], list[tuple]]:
-    """The path ending at state, whose link points into the last of the
-    per-depth link maps."""
+    """The path ending at state, one step past the last layer: at each
+    layer, the first state with the next path state among its successors,
+    and the first input leading there. That is the edge the search
+    discovered the state by."""
     states = [state]
     inputs: list[tuple] = []
     for layer in reversed(layers):
-        if link is None:
-            break
-        prev, u = link
+        hits = map(contains, map(ex.next_rows.__getitem__, layer), repeat(state))
+        prev = next(compress(layer, hits))
+        inputs.append(next(u for u, ns in ex.successors(prev) if ns == state))
         states.append(prev)
-        inputs.append(u)
-        link = layer[prev]
+        state = prev
     states.reverse()
     inputs.reverse()
     return states, inputs

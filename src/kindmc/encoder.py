@@ -35,8 +35,9 @@ later query of that system reuses the same object, so a run of k iterations
 builds each step's transition relation once rather than once per
 satisfiable answer. The cache has one slot, keyed by the system's identity:
 it holds the last system queried (strongly, so its id cannot be reused) and
-its subterms until a query of a different system replaces them. Targets'
-state equalities are built per query.
+its subterms until a query of a different system replaces them. A target's
+state equality at step i is a conjunction of shared atoms (= x@i v), built
+once per variable, step and value.
 """
 
 from __future__ import annotations
@@ -147,13 +148,13 @@ def _value_const(v: ir.Value, sort: Sort) -> Expr:
 def state_equals(sys: TransitionSystem, step: int, state: State) -> Expr:
     """s_step equals the given concrete state, as a conjunction over state
     variables."""
+    at = _terms(sys)
+    values = state.as_dict()
     parts = []
     for d in sys.state_vars:
-        if d.name not in state:
+        if d.name not in values:
             raise InternalError(f"target state missing variable {d.name!r}")
-        parts.append(
-            ir.eq(ir.var(f"{d.name}@{step}", d.sort), _value_const(state[d.name], d.sort))
-        )
+        parts.append(at.equals(d, step, values[d.name]))
     return ir.conj(parts)
 
 
@@ -188,10 +189,23 @@ class _TimedTerms(dict):
             "phi": phi,
             "bad": ir.not_(phi),
         }
+        self._equals: dict[tuple[str, int, ir.Value], Expr] = {}
 
     def __missing__(self, key: tuple[str, int]) -> Expr:
         section, step = key
         e = self[key] = timed(self._sections[section], step)
+        return e
+
+    def equals(self, d: ir.VarDecl, step: int, value: ir.Value) -> Expr:
+        """(= x@step value) for state variable x, built once per variable,
+        step and value: the extended base case asks it of every target at
+        every step."""
+        key = (d.name, step, value)
+        e = self._equals.get(key)
+        if e is None:
+            e = self._equals[key] = ir.eq(
+                ir.var(f"{d.name}@{step}", d.sort), _value_const(value, d.sort)
+            )
         return e
 
 

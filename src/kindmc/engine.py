@@ -40,7 +40,7 @@ from .encoder import (
     encode_inductive_step,
 )
 from .errors import ConfigError, DiscrepancyError, InternalError
-from .ir import Trace, TransitionSystem, replay_trace, states_equal
+from .ir import State, Trace, TransitionSystem, replay_trace, states_equal
 from .solver import (
     DecodedModel,
     Solver,
@@ -161,6 +161,7 @@ def _run(sys: TransitionSystem, cfg: EngineConfig, extended: bool) -> Verificati
     iterations: list[IterationStat] = []
     targets: list[Target] = []
     by_tid: dict[int, Target] = {}
+    first_states: set[State] = set()
     next_tid = 1
     unknown_in_proof = False
 
@@ -259,7 +260,8 @@ def _run(sys: TransitionSystem, cfg: EngineConfig, extended: bool) -> Verificati
         elif extended:
             dec = decode_model(qi, vi.model)
             first = dec.trace.states[0]
-            if not any(states_equal(first, t.first_state) for t in targets):
+            if first not in first_states:
+                first_states.add(first)
                 t = Target(first, dec.trace, k, next_tid)
                 next_tid += 1
                 targets.append(t)

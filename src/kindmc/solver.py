@@ -3,17 +3,21 @@
 Two backends:
 
   enum      built-in search over the concrete state space, backed by the
-            memoized SystemExecutor. It answers from the query's question
-            (kind, k, system, targets) and reads the formula only to
-            re-check a satisfying model. Every query kind is one call to the
-            breadth-first path search concrete.find_path: base cases look
-            for a shortest initial path to a violation or a target, the
-            forward condition for an initial path of exactly k states that
-            ends in a non-halting state, and the inductive step for a path
-            of exactly k states from any state, through good states, to a
-            violation. Systems whose per-step footprint exceeds the bit cap
-            fall back to plain enumeration of the unrolled variables when
-            that fits, otherwise the result is unknown.
+            SystemExecutor of the query's system. It answers from the
+            query's question (kind, k, system, targets) and reads the
+            formula only to re-check a satisfying model. Every query kind
+            is one call to the breadth-first path search
+            concrete.find_path over the executor's per-state rows: base
+            cases look for a shortest initial path to a violation or a
+            target, the forward condition for an initial path of exactly k
+            states that ends in a non-halting state, and the inductive step
+            for a path of exactly k states from a good state, through good
+            states, to a violation. The executor comes from
+            concrete.shared_executor, so every session that queries the
+            same system object, such as the two engines of a `compare`,
+            shares its rows. Systems whose per-step footprint exceeds the
+            bit cap fall back to plain enumeration of the unrolled
+            variables when that fits, otherwise the result is unknown.
 
   external  a one-shot SMT-LIB 2 process: the serialized query on stdin,
             sat/unsat/unknown plus a get-value response on stdout. Output
@@ -37,7 +41,7 @@ from enum import Enum
 from itertools import product
 from typing import Optional, Sequence, Union
 
-from .concrete import SystemExecutor, _domain, find_path
+from .concrete import SystemExecutor, _domain, find_path, shared_executor
 from .encoder import Marker, Query, QueryKind, serialize_smtlib
 from .errors import ConfigError, InternalError, ParseError, ProtocolError
 from .frontend import _read
@@ -77,10 +81,12 @@ def resolve_config(solver_arg: Optional[str] = None, timeout_ms: int = 0) -> Sol
     """Build a SolverConfig from a --solver argument, falling back to the
     KINDMC_SOLVER environment variable, then to the built-in backend.
     Accepted forms: "enum", "external:<command line>", or (env only) a bare
-    command line."""
+    command line; a bare command line as the argument is a ConfigError."""
     spec = solver_arg
     if spec is None:
         spec = os.environ.get("KINDMC_SOLVER") or None
+    elif spec != "enum" and not spec.startswith("external:"):
+        raise ConfigError(f"--solver must be enum or external:<command>, got {spec!r}")
     if spec is None or spec == "enum":
         return SolverConfig("enum", (), timeout_ms)
     if spec.startswith("external:"):
@@ -93,13 +99,11 @@ def resolve_config(solver_arg: Optional[str] = None, timeout_ms: int = 0) -> Sol
 
 
 class Solver:
-    """A checking session. Reusing one session across iterations shares the
-    per-system successor tables."""
+    """A checking session: the configuration and a count of checks."""
 
     def __init__(self, cfg: SolverConfig) -> None:
         self.cfg = cfg
         self.calls = 0
-        self._executors: dict[int, tuple[object, SystemExecutor]] = {}
 
     def check(self, q: Query) -> SolverVerdict:
         self.calls += 1
@@ -107,49 +111,52 @@ class Solver:
             return _check_external(q, self.cfg)
         return self._check_enum(q)
 
-    def _executor(self, q: Query) -> Optional[SystemExecutor]:
-        key = id(q.system)
-        hit = self._executors.get(key)
-        if hit is not None:
-            return hit[1]
+    def _check_enum(self, q: Query) -> SolverVerdict:
         cap = self.cfg.enum_bit_cap
         if q.system.state_bits + q.system.input_bits > cap:
-            return None
-        ex = SystemExecutor(q.system, state_bit_cap=cap, input_bit_cap=cap)
-        self._executors[key] = (q.system, ex)
-        return ex
-
-    def _check_enum(self, q: Query) -> SolverVerdict:
-        ex = self._executor(q)
-        if ex is None:
             return _naive_check(q, self.cfg)
-        violated = ex.violated_prop
-        if q.kind in (QueryKind.BASE, QueryKind.EXTENDED_BASE):
-            targets = {ex.state_tuple(t.first_state) for t in q.targets}
-            props = q.include_violations
-            path = find_path(
-                ex,
-                ex.initial_states(),
-                q.k,
-                lambda s: s in targets or (props and violated(s) is not None),
-            )
-        elif q.kind is QueryKind.FORWARD:
-            halt = ex.halt_fn
-            path = find_path(ex, ex.initial_states(), q.k, lambda s: not halt(s), exact=True)
-        elif q.kind is QueryKind.INDUCTIVE:
-            path = find_path(
-                ex,
-                ex.all_states(),
-                q.k,
-                lambda s: violated(s) is not None,
-                keep=lambda s: violated(s) is None,
-                exact=True,
-            )
-        else:
-            raise InternalError(f"no search for query kind {q.kind}")
+        # SystemExecutor is looked up in this module when a build happens, so
+        # a wrapper put here sees every build
+        ex = shared_executor(
+            q.system, lambda sys: SystemExecutor(sys, state_bit_cap=cap, input_bit_cap=cap)
+        )
+        path = _search(ex, q)
         if path is None:
             return SolverVerdict(SolverStatus.UNSAT)
         return SolverVerdict(SolverStatus.SAT, _assemble_model(q, ex, *path))
+
+
+def _search(ex: SystemExecutor, q: Query) -> Optional[tuple[list[tuple], list[tuple]]]:
+    """The concrete path that answers q, or None when there is none."""
+    violated = ex.violated_prop
+    if q.kind in (QueryKind.BASE, QueryKind.EXTENDED_BASE):
+        targets = {ex.state_tuple(t.first_state) for t in q.targets}
+        props = q.include_violations
+        return find_path(
+            ex,
+            ex.next_rows,
+            ex.initial_states(),
+            q.k,
+            lambda s: s in targets or (props and violated(s) is not None),
+        )
+    if q.kind is QueryKind.FORWARD:
+        halt = ex.halt_fn
+        return find_path(
+            ex, ex.next_rows, ex.initial_states(), q.k, lambda s: not halt(s), exact=True
+        )
+    if q.kind is QueryKind.INDUCTIVE:
+        # a path of k > 1 states starts at a good state; at k = 1 it is a
+        # single bad state
+        return find_path(
+            ex,
+            ex.good_rows,
+            ex.good_states() if q.k > 1 else ex.all_states(),
+            q.k,
+            lambda s: violated(s) is not None,
+            exact=True,
+            last_rows=ex.bad_rows,
+        )
+    raise InternalError(f"no search for query kind {q.kind}")
 
 
 def check(q: Query, cfg: Optional[SolverConfig] = None) -> SolverVerdict:

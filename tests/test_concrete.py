@@ -8,17 +8,19 @@ must produce identical initial-state and successor sets, in identical order.
 
 from __future__ import annotations
 
+import threading
 from itertools import product
+from sys import getswitchinterval, setswitchinterval
 
 import pytest
 
 from kindmc import ir
-from kindmc.concrete import SystemExecutor, _domain
-from kindmc.errors import ConfigError
+from kindmc.concrete import SystemExecutor, _domain, shared_executor
+from kindmc.errors import ConfigError, InternalError
 from kindmc.ir import State, eval_expr
 
 from randsys import corpus
-from systems import deadlock_chain, halt_sink, saturating
+from systems import deadlock_chain, halt_sink, moving_halt, saturating
 
 
 def _naive_initials(sys):
@@ -178,3 +180,60 @@ def test_residual_only_transitions():
     )
     ex = SystemExecutor(sys)
     assert ex.successors((3,)) == (((), (0,)), ((), (1,)))
+
+
+def test_state_tuple_is_memoised():
+    ex = SystemExecutor(saturating())
+    st = State({"x": 5})
+    assert ex.state_tuple(st) is ex.state_tuple(State({"x": 5}))
+    with pytest.raises(InternalError, match="state binds"):
+        ex.state_tuple(State({"y": 5}))
+
+
+# ---------------------------------------------------------------------------
+# The shared executor slot
+
+
+def test_equal_but_distinct_systems_do_not_share_an_executor():
+    a, b = saturating(), saturating()
+    assert a == b and a is not b
+    ex_a = shared_executor(a, SystemExecutor)
+    ex_b = shared_executor(b, SystemExecutor)
+    assert ex_a is not ex_b
+    assert ex_a.system is a and ex_b.system is b
+
+
+def test_interleaved_systems_rebuild_their_executor():
+    a, b = saturating(), halt_sink()
+    ex_a = shared_executor(a, SystemExecutor)
+    assert shared_executor(a, SystemExecutor) is ex_a
+    ex_b = shared_executor(b, SystemExecutor)
+    again = shared_executor(a, SystemExecutor)
+    assert ex_b.system is b
+    assert again.system is a and again is not ex_a
+    s = again.initial_states()[0]
+    assert again.next_rows[s] == tuple(dict.fromkeys(ns for _, ns in ex_a.successors(s)))
+    assert again.good_states() == ex_a.good_states()
+
+
+def test_threads_querying_different_systems_get_their_own_executor():
+    systems = [saturating(), halt_sink(), moving_halt(), deadlock_chain()]
+    wrong = []
+
+    def work(sys):
+        for _ in range(20000):
+            if shared_executor(sys, SystemExecutor).system is not sys:
+                wrong.append(sys.name)
+
+    old = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in systems]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

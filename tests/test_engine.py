@@ -27,7 +27,7 @@ from kindmc.engine import (
     run_plain,
     stitch,
 )
-from kindmc.errors import ConfigError, DiscrepancyError, InternalError, ValidationError
+from kindmc.errors import ConfigError, DiscrepancyError, InternalError
 from kindmc.frontend import accumulator, chain_bug, diamond_parity, parse_file
 from kindmc.ir import MAX_NESTING, State, Trace, TransitionSystem, replay_trace
 from kindmc.solver import SolverStatus, SolverVerdict, resolve_config
@@ -429,13 +429,6 @@ def test_safe_families_agree():
 
 # ---------------------------------------------------------------------------
 # Nesting built through the Python API
-
-
-@pytest.mark.parametrize("depth", [600, 3000])
-def test_nesting_past_the_bound_is_a_validation_error(depth):
-    for engine in (run_plain, run_extended):
-        with pytest.raises(ValidationError, match="nested deeper than"):
-            engine(nested_not(depth))
 
 
 def test_nesting_at_the_bound_still_verifies():

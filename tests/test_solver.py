@@ -11,7 +11,7 @@ import pytest
 
 from kindmc import ir
 from kindmc import solver as solver_mod
-from kindmc.concrete import _domain
+from kindmc.concrete import SystemExecutor, _domain
 from kindmc.encoder import (
     Marker,
     Target,
@@ -20,6 +20,7 @@ from kindmc.encoder import (
     encode_forward_condition,
     encode_inductive_step,
 )
+from kindmc.engine import compare
 from kindmc.errors import ConfigError, InternalError, ProtocolError
 from kindmc.frontend import chain_bug
 from kindmc.ir import State, Trace, eval_expr, replay_trace
@@ -250,6 +251,32 @@ def _wide_input_system():
     )
 
 
+def test_naive_used_over_the_cap_even_when_the_slot_holds_the_executor(monkeypatch):
+    sys = chain_bug(2)
+    assert Solver(SolverConfig()).check(encode_base_case(sys, 1)).status is SolverStatus.UNSAT
+    naive = []
+    monkeypatch.setattr(solver_mod, "_naive_check", lambda q, cfg: naive.append(q) or "naive")
+    q = encode_base_case(sys, 1)
+    assert Solver(SolverConfig(enum_bit_cap=1)).check(q) == "naive"
+    assert naive == [q]
+
+
+def test_compare_builds_one_executor_for_both_engines(monkeypatch):
+    built = []
+
+    def build(sys, **caps):
+        built.append(sys)
+        return SystemExecutor(sys, **caps)
+
+    monkeypatch.setattr(solver_mod, "SystemExecutor", build)
+    sys = chain_bug(9)
+    rec = compare(sys)
+    assert rec.extended.targets  # the extended run made target rechecks too
+    assert built == [sys]
+    compare(chain_bug(9))
+    assert len(built) == 2
+
+
 def test_naive_answers_when_inputs_break_the_cap():
     sys = _wide_input_system()
     solver = Solver(SolverConfig(enum_bit_cap=24))
@@ -360,6 +387,12 @@ def test_resolve_flag_beats_env(monkeypatch):
     monkeypatch.setenv("KINDMC_SOLVER", "ignored")
     cfg = resolve_config("external:mysolver --fast")
     assert cfg.command == ("mysolver", "--fast")
+
+
+def test_resolve_rejects_a_bare_command_as_the_argument(monkeypatch):
+    monkeypatch.delenv("KINDMC_SOLVER", raising=False)
+    with pytest.raises(ConfigError, match="enum or external:<command>, got 'z5 --in'"):
+        resolve_config("z5 --in")
 
 
 def test_resolve_empty_command_rejected(monkeypatch):
