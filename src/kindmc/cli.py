@@ -38,7 +38,7 @@ from .errors import (
 )
 from .frontend import BenchmarkSpec, generate_benchmark, parse_file
 from .ir import Trace, TransitionSystem
-from .oracle import OracleVerdict, bfs_check
+from .oracle import DEFAULT_STATE_BIT_CAP, OracleVerdict, bfs_check
 from .solver import resolve_config
 
 RUN_RECORD_SCHEMA = {
@@ -154,7 +154,9 @@ def build_parser() -> _Parser:
 
     po = sub.add_parser("oracle", help="exhaustive breadth-first ground truth")
     _add_system_args(po)
-    po.add_argument("--cap", type=int, default=20, help="state-bit cap (default 20)")
+    po.add_argument(
+        "--cap", type=int, default=DEFAULT_STATE_BIT_CAP, help="state-bit cap (default %(default)s)"
+    )
     _add_output_arg(po)
 
     return parser

@@ -27,9 +27,10 @@ path is rebuilt only once a goal is found, by taking each state's first
 predecessor in the previous layer. Ties go to the first state discovered,
 so the enumeration order above fixes every witness.
 
-shared_executor holds the executor of the last system queried, so both
-engines of a `compare` share its rows. lint_halt_sink checks that halting
-states are sinks, which a forward-condition proof relies on.
+The executor enumerates whatever it is given: its callers bound the
+state and input bits first (the solver's enum backend, the oracle, and
+lint_halt_sink below). lint_halt_sink checks that halting states are
+sinks, which a forward-condition proof relies on.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from itertools import chain, compress, filterfalse, islice, product, repeat
 from operator import contains, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import ConfigError, InternalError
+from .errors import InternalError
 from .ir import (
     Expr,
     Sort,
@@ -53,8 +54,6 @@ from .ir import (
 
 EvalFn = Callable[..., Value]
 
-DEFAULT_STATE_BIT_CAP = 20
-DEFAULT_INPUT_BIT_CAP = 16
 # lint_halt_sink enumerates every state, so it gives up on larger systems.
 HALT_SINK_BIT_CAP = 16
 
@@ -166,24 +165,12 @@ class SystemExecutor:
     """Memoized concrete semantics for one system.
 
     The system is well-formed already, since TransitionSystem validates
-    itself when built; only the bit caps are checked here. State and input
-    valuations are plain tuples in declaration order.
+    itself when built, and small enough to enumerate, since every caller
+    checks its bits first. State and input valuations are plain tuples in
+    declaration order.
     """
 
-    def __init__(
-        self,
-        sys: TransitionSystem,
-        state_bit_cap: int = DEFAULT_STATE_BIT_CAP,
-        input_bit_cap: int = DEFAULT_INPUT_BIT_CAP,
-    ) -> None:
-        if sys.state_bits > state_bit_cap:
-            raise ConfigError(
-                f"system has {sys.state_bits} state bits, cap is {state_bit_cap}"
-            )
-        if sys.input_bits > input_bit_cap:
-            raise ConfigError(
-                f"system has {sys.input_bits} input bits per step, cap is {input_bit_cap}"
-            )
+    def __init__(self, sys: TransitionSystem) -> None:
         self.system = sys
         self.state_decls: tuple[VarDecl, ...] = sys.state_vars
         self.input_decls: tuple[VarDecl, ...] = sys.input_vars
@@ -298,12 +285,9 @@ class SystemExecutor:
                     break
             if ok and init_fn(scratch):
                 found.append(tuple(scratch))
-        found.sort(key=self._order_key)
+        found.sort()
         self._initial = tuple(found)
         return self._initial
-
-    def _order_key(self, t: tuple) -> tuple:
-        return tuple(int(v) for v in t)
 
     def successors(self, s: tuple) -> tuple[tuple[tuple, tuple], ...]:
         """All (input valuation, next state) pairs reachable in one step."""
@@ -381,7 +365,7 @@ class SystemExecutor:
 
 
 # ---------------------------------------------------------------------------
-# Rows and the shared executor
+# Rows
 
 
 class _Rows(dict):
@@ -405,26 +389,6 @@ class _Rows(dict):
     def __missing__(self, s: tuple) -> tuple[tuple, ...]:
         row = self[s] = self._fill(self._ex(), s)
         return row
-
-
-# One slot, like the encoder's timed terms: `compare` runs both engines on
-# the same system object, and every query of a run asks about its system.
-# Keyed by identity, since systems hash by value, recursively.
-_last_executor: Optional[SystemExecutor] = None
-
-
-def shared_executor(
-    sys: TransitionSystem, build: Callable[[TransitionSystem], SystemExecutor]
-) -> SystemExecutor:
-    """The executor of sys: the one in the slot if it was built for this
-    very object, otherwise build(sys), which then takes the slot."""
-    # Read the slot once, so a caller in another thread that replaces it
-    # cannot hand this caller another system's executor.
-    global _last_executor
-    ex = _last_executor
-    if ex is None or ex.system is not sys:
-        ex = _last_executor = build(sys)
-    return ex
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +475,7 @@ def lint_halt_sink(sys: TransitionSystem) -> Optional[bool]:
     cap = HALT_SINK_BIT_CAP
     if sys.state_bits > cap or sys.input_bits > cap:
         return None
-    ex = SystemExecutor(sys, state_bit_cap=cap, input_bit_cap=cap)
+    ex = SystemExecutor(sys)
     for s in ex.all_states():
         if ex.halt_fn(s) and any(nxt != s for _, nxt in ex.successors(s)):
             return False

@@ -33,11 +33,10 @@ timed(init, 1), timed(halt, k), and the property conjunction phi and its
 negation at step i. Each is built once per system, on first use, and every
 later query of that system reuses the same object, so a run of k iterations
 builds each step's transition relation once rather than once per
-satisfiable answer. The cache has one slot, keyed by the system's identity:
-it holds the last system queried (strongly, so its id cannot be reused) and
-its subterms until a query of a different system replaces them. A target's
-state equality at step i is a conjunction of shared atoms (= x@i v), built
-once per variable, step and value.
+satisfiable answer. The cache is an ir.per_system slot: it holds the last
+system queried and its subterms until a query of a different system object
+replaces them. A target's state equality at step i is a conjunction of
+shared atoms (= x@i v), built once per variable, step and value.
 """
 
 from __future__ import annotations
@@ -180,7 +179,6 @@ class _TimedTerms(dict):
 
     def __init__(self, sys: TransitionSystem) -> None:
         super().__init__()
-        self.system = sys
         phi = props_conj(sys)
         self._sections = {
             "init": sys.init,
@@ -209,19 +207,7 @@ class _TimedTerms(dict):
         return e
 
 
-# One slot, enough because `compare` runs both engines on the same object.
-# Keyed by identity: systems and expressions hash by value, recursively.
-_last_terms: Optional[_TimedTerms] = None
-
-
-def _terms(sys: TransitionSystem) -> _TimedTerms:
-    # Read the slot once, so a caller in another thread that replaces it
-    # cannot hand this caller another system's terms.
-    global _last_terms
-    terms = _last_terms
-    if terms is None or terms.system is not sys:
-        terms = _last_terms = _TimedTerms(sys)
-    return terms
+_terms = ir.per_system(_TimedTerms)
 
 
 def _path_defs(at: _TimedTerms, k: int) -> list[tuple[str, Expr]]:

@@ -160,9 +160,7 @@ def _run(sys: TransitionSystem, cfg: EngineConfig, extended: bool) -> Verificati
     warnings: list[str] = []
     iterations: list[IterationStat] = []
     targets: list[Target] = []
-    by_tid: dict[int, Target] = {}
     first_states: set[State] = set()
-    next_tid = 1
     unknown_in_proof = False
 
     def timed_check(q, label: str, checks: list[CheckRecord]):
@@ -198,7 +196,8 @@ def _run(sys: TransitionSystem, cfg: EngineConfig, extended: bool) -> Verificati
         if dec.matched_target is None:
             witness = dec.trace
         else:
-            witness = stitch(dec.trace, by_tid[dec.matched_target])
+            # tids are 1, 2, ... in the order targets are appended
+            witness = stitch(dec.trace, targets[dec.matched_target - 1])
         if cfg.validate:
             verdict = replay_trace(sys, witness)
             if not verdict:
@@ -262,10 +261,8 @@ def _run(sys: TransitionSystem, cfg: EngineConfig, extended: bool) -> Verificati
             first = dec.trace.states[0]
             if first not in first_states:
                 first_states.add(first)
-                t = Target(first, dec.trace, k, next_tid)
-                next_tid += 1
+                t = Target(first, dec.trace, k, len(targets) + 1)
                 targets.append(t)
-                by_tid[t.tid] = t
                 added = 1
                 if cfg.target_recheck is TargetRecheck.SAME_ITERATION:
                     qr = encode_extended_base_case(

@@ -11,11 +11,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 from .errors import InternalError, SortError, ValidationError
 
 Value = Union[bool, int]
+T = TypeVar("T")
 
 MAX_WIDTH = 64
 
@@ -457,6 +458,30 @@ class TransitionSystem:
                         f"{where}: next({n.name}) has declared sort {state[n.name]},"
                         f" used as {n.sort}"
                     )
+
+
+def per_system(build: Callable[[TransitionSystem], T]) -> Callable[[TransitionSystem], T]:
+    """A one-slot cache: the returned get(sys) gives build(sys) for the last
+    system object passed, and builds again when passed another object.
+
+    One slot is enough, since every query of a run asks about one system
+    and `compare` runs both engines on the same object. The slot is keyed
+    by identity, because systems hash by value, recursively; it holds its
+    system strongly, so that system's id cannot be reused while it is
+    there.
+    """
+    slot: tuple = (None, None)
+
+    def get(sys: TransitionSystem) -> T:
+        # Read the slot once, so a caller in another thread that replaces it
+        # cannot hand this caller another system's value.
+        nonlocal slot
+        held = slot
+        if held[0] is not sys:
+            held = slot = (sys, build(sys))
+        return held[1]
+
+    return get
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ no unrolling, no solver, no induction. It keeps its own search loop rather
 than calling concrete.find_path, which the enum backend uses: a fault in
 that search then shows up as a disagreement with the oracle instead of
 being repeated on both sides.
+
+The executor enumerates whatever it is given, so the oracle refuses a
+system over its bit caps before building one: DEFAULT_STATE_BIT_CAP state
+bits (bfs_check's state_bit_cap, which the CLI's `oracle --cap` sets) and
+DEFAULT_INPUT_BIT_CAP input bits per step.
 """
 
 from __future__ import annotations
@@ -16,12 +21,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from .concrete import (
-    DEFAULT_INPUT_BIT_CAP,
-    DEFAULT_STATE_BIT_CAP,
-    SystemExecutor,
-)
+from .concrete import SystemExecutor
+from .errors import ConfigError
 from .ir import State, Trace, TransitionSystem
+
+DEFAULT_STATE_BIT_CAP = 20
+DEFAULT_INPUT_BIT_CAP = 16
 
 
 class OracleVerdict(Enum):
@@ -37,15 +42,11 @@ class OracleResult:
     depth: int  # states on the longest path considered
 
 
-def bfs_check(
-    sys: TransitionSystem,
-    state_bit_cap: int = DEFAULT_STATE_BIT_CAP,
-    input_bit_cap: int = DEFAULT_INPUT_BIT_CAP,
-) -> OracleResult:
+def bfs_check(sys: TransitionSystem, state_bit_cap: int = DEFAULT_STATE_BIT_CAP) -> OracleResult:
     """Explore the full reachable space breadth-first. Returns a shortest
     violating trace if any reachable state breaks a property, otherwise
     reports the space safe with the exploration statistics."""
-    ex = SystemExecutor(sys, state_bit_cap, input_bit_cap)
+    ex = _executor(sys, state_bit_cap)
     found, depth, parent = _bfs(ex, lambda s: ex.violated_prop(s) is not None)
     if found is None:
         return OracleResult(OracleVerdict.SAFE_WITHIN_EXPLORED, None, len(parent), depth)
@@ -54,18 +55,24 @@ def bfs_check(
     )
 
 
-def reachable(
-    sys: TransitionSystem,
-    goal: State,
-    state_bit_cap: int = DEFAULT_STATE_BIT_CAP,
-    input_bit_cap: int = DEFAULT_INPUT_BIT_CAP,
-) -> Optional[int]:
+def reachable(sys: TransitionSystem, goal: State) -> Optional[int]:
     """Depth (number of states on a shortest initial path) at which the
     goal state is reached, or None when it is unreachable."""
-    ex = SystemExecutor(sys, state_bit_cap, input_bit_cap)
+    ex = _executor(sys, DEFAULT_STATE_BIT_CAP)
     goal_t = ex.state_tuple(goal)
     found, depth, _ = _bfs(ex, lambda s: s == goal_t)
     return None if found is None else depth
+
+
+def _executor(sys: TransitionSystem, state_bit_cap: int) -> SystemExecutor:
+    """The executor of sys, once its bits are known to be within the caps."""
+    if sys.state_bits > state_bit_cap:
+        raise ConfigError(f"system has {sys.state_bits} state bits, cap is {state_bit_cap}")
+    if sys.input_bits > DEFAULT_INPUT_BIT_CAP:
+        raise ConfigError(
+            f"system has {sys.input_bits} input bits per step, cap is {DEFAULT_INPUT_BIT_CAP}"
+        )
+    return SystemExecutor(sys)
 
 
 def _bfs(

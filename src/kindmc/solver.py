@@ -12,12 +12,13 @@ Two backends:
             target, the forward condition for an initial path of exactly k
             states that ends in a non-halting state, and the inductive step
             for a path of exactly k states from a good state, through good
-            states, to a violation. The executor comes from
-            concrete.shared_executor, so every session that queries the
-            same system object, such as the two engines of a `compare`,
-            shares its rows. Systems whose per-step footprint exceeds the
-            bit cap fall back to plain enumeration of the unrolled
-            variables when that fits, otherwise the result is unknown.
+            states, to a violation. The executor is held in an
+            ir.per_system slot, so every session that queries the same
+            system object, such as the two engines of a `compare`, shares
+            its rows. Systems whose state and input bits per step exceed
+            ENUM_BIT_CAP get no executor: they fall back to plain
+            enumeration of the unrolled variables when those fit within the
+            same cap, otherwise the result is unknown.
 
   external  a one-shot SMT-LIB 2 process: the serialized query on stdin,
             sat/unsat/unknown plus a get-value response on stdout. Output
@@ -41,13 +42,18 @@ from enum import Enum
 from itertools import product
 from typing import Optional, Sequence, Union
 
-from .concrete import SystemExecutor, _domain, find_path, shared_executor
+from .concrete import SystemExecutor, _domain, find_path
 from .encoder import Marker, Query, QueryKind, serialize_smtlib
 from .errors import ConfigError, InternalError, ParseError, ProtocolError
 from .frontend import _read
-from .ir import State, Trace, Value, VarDecl, eval_expr
+from .ir import State, Trace, Value, VarDecl, eval_expr, per_system
 
 Model = dict[str, Value]
+
+# Bits the enum backend enumerates: a system's state and input bits per step
+# for the executor, or all of a query's unrolled variables for the naive
+# fallback.
+ENUM_BIT_CAP = 24
 
 
 class SolverStatus(Enum):
@@ -68,7 +74,6 @@ class SolverConfig:
     backend: str = "enum"  # "enum" | "external"
     command: tuple[str, ...] = ()
     timeout_ms: int = 0
-    enum_bit_cap: int = 24
 
     def __post_init__(self) -> None:
         if self.backend not in ("enum", "external"):
@@ -98,6 +103,11 @@ def resolve_config(solver_arg: Optional[str] = None, timeout_ms: int = 0) -> Sol
 # Session
 
 
+# SystemExecutor is looked up in this module when a build happens, so a
+# wrapper put here sees every build.
+_executor = per_system(lambda sys: SystemExecutor(sys))
+
+
 class Solver:
     """A checking session: the configuration and a count of checks."""
 
@@ -112,14 +122,9 @@ class Solver:
         return self._check_enum(q)
 
     def _check_enum(self, q: Query) -> SolverVerdict:
-        cap = self.cfg.enum_bit_cap
-        if q.system.state_bits + q.system.input_bits > cap:
-            return _naive_check(q, self.cfg)
-        # SystemExecutor is looked up in this module when a build happens, so
-        # a wrapper put here sees every build
-        ex = shared_executor(
-            q.system, lambda sys: SystemExecutor(sys, state_bit_cap=cap, input_bit_cap=cap)
-        )
+        if q.system.state_bits + q.system.input_bits > ENUM_BIT_CAP:
+            return _naive_check(q)
+        ex = _executor(q.system)
         path = _search(ex, q)
         if path is None:
             return SolverVerdict(SolverStatus.UNSAT)
@@ -157,10 +162,6 @@ def _search(ex: SystemExecutor, q: Query) -> Optional[tuple[list[tuple], list[tu
             last_rows=ex.bad_rows,
         )
     raise InternalError(f"no search for query kind {q.kind}")
-
-
-def check(q: Query, cfg: Optional[SolverConfig] = None) -> SolverVerdict:
-    return Solver(cfg or SolverConfig()).check(q)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +215,14 @@ def _finish_model(q: Query, model: Model, strict: bool) -> Optional[str]:
 # Naive enumeration fallback
 
 
-def _naive_check(q: Query, cfg: SolverConfig) -> SolverVerdict:
+def _naive_check(q: Query) -> SolverVerdict:
     total_bits = sum(tv.sort.bits for tv in q.decls)
-    if total_bits > cfg.enum_bit_cap:
+    if total_bits > ENUM_BIT_CAP:
         return SolverVerdict(
             SolverStatus.UNKNOWN,
             diagnostic=(
                 f"query needs {total_bits} bits, enumeration cap is"
-                f" {cfg.enum_bit_cap}; use an external solver"
+                f" {ENUM_BIT_CAP}; use an external solver"
             ),
         )
     domains = [_domain(tv.sort) for tv in q.decls]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import threading
 from itertools import product
+from sys import getswitchinterval, setswitchinterval
 
 import pytest
 
@@ -22,7 +24,7 @@ from kindmc.ir import (
     states_equal,
 )
 
-from systems import nested_not, not_chain
+from systems import deadlock_chain, halt_sink, moving_halt, nested_not, not_chain, saturating
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +385,34 @@ def test_invalid_identifier_rejected():
         VarDecl("x@1", bitvec(2), VarRole.STATE)
     with pytest.raises(ValidationError, match="identifier"):
         VarDecl("2x", BOOL, VarRole.STATE)
+
+
+# ---------------------------------------------------------------------------
+# Per-system slot
+
+
+def test_per_system_slot_under_threads_querying_different_systems():
+    get = ir.per_system(lambda sys: [sys])
+    systems = [saturating(), halt_sink(), moving_halt(), deadlock_chain()]
+    wrong = []
+
+    def work(sys):
+        for _ in range(20000):
+            if get(sys)[0] is not sys:
+                wrong.append(sys.name)
+
+    old = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in systems]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------

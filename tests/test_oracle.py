@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from kindmc import ir
+from kindmc import oracle as oracle_mod
 from kindmc.engine import EngineConfig, Outcome, run_plain
 from kindmc.errors import ConfigError
 from kindmc.frontend import accumulator, chain_bug, const_check
@@ -11,7 +13,7 @@ from kindmc.ir import State, replay_trace
 from kindmc.oracle import OracleVerdict, bfs_check, reachable
 
 from randsys import corpus
-from systems import moving_halt, saturating
+from systems import input_chain, moving_halt, saturating
 
 
 def test_chain_bug_found_with_shortest_trace():
@@ -67,6 +69,36 @@ def test_reachable_none_for_unreachable():
 def test_oracle_cap_is_config_error():
     with pytest.raises(ConfigError, match="state bits"):
         bfs_check(saturating(), state_bit_cap=2)
+
+
+def _wide(state_width: int, input_width: int) -> ir.TransitionSystem:
+    ws, wi = ir.bitvec(state_width), ir.bitvec(input_width)
+    x, c = ir.var("x", ws), ir.var("c", wi)
+    return ir.TransitionSystem(
+        vars=(ir.VarDecl("x", ws, ir.VarRole.STATE), ir.VarDecl("c", wi, ir.VarRole.INPUT)),
+        init=ir.eq(x, ir.const(0, ws)),
+        trans=ir.eq(ir.next_var("x", ws), x),
+        props=(ir.Prop("p", ir.TRUE),),
+        halt=ir.FALSE,
+    )
+
+
+def test_bit_caps_enforced(monkeypatch):
+    sys = saturating()  # 4 state bits
+    with pytest.raises(ConfigError, match="state bits"):
+        bfs_check(sys, state_bit_cap=3)
+    bfs_check(sys, state_bit_cap=4)  # boundary is inclusive
+    bfs_check(input_chain(3))  # 1 input bit
+    # over a cap, the system is refused before an executor enumerates it
+    built = []
+    monkeypatch.setattr(oracle_mod, "SystemExecutor", built.append)
+    with pytest.raises(ConfigError, match="17 input bits per step, cap is 16"):
+        bfs_check(_wide(2, 17))
+    with pytest.raises(ConfigError, match="17 input bits per step, cap is 16"):
+        reachable(_wide(2, 17), State({"x": 0}))
+    with pytest.raises(ConfigError, match="21 state bits, cap is 20"):
+        reachable(_wide(21, 1), State({"x": 0}))
+    assert built == []
 
 
 def test_oracle_agrees_with_engine_on_random_systems():

@@ -30,7 +30,6 @@ from kindmc.solver import (
     SolverStatus,
     _naive_check,
     _parse_value_response,
-    check,
     decode_model,
     resolve_config,
 )
@@ -71,7 +70,7 @@ def test_structured_agrees_with_naive(agreement_corpus):
         for k in (1, 3):
             for q in _queries(sys, k):
                 structured = solver.check(q)
-                naive = _naive_check(q, cfg)
+                naive = _naive_check(q)
                 assert structured.status is naive.status, (
                     f"{sys.name} {q.kind.value} k={k}:"
                     f" {structured.status} vs {naive.status}"
@@ -129,7 +128,7 @@ def test_base_model_padding_after_early_violation():
     # so a k=5 query must pad: repeated last state, inputs at rest
     sys = deadlock_chain()
     q = encode_base_case(sys, 5)
-    v = check(q)
+    v = Solver(SolverConfig()).check(q)
     assert v.status is SolverStatus.SAT
     assert v.model["x@3"] == 2
     assert v.model["x@4"] == 2 and v.model["x@5"] == 2
@@ -141,14 +140,14 @@ def test_base_model_padding_after_early_violation():
 
 def test_deadlocked_forward_is_unsat():
     # no 4-state path exists at all
-    v = check(encode_forward_condition(deadlock_chain(), 4))
+    v = Solver(SolverConfig()).check(encode_forward_condition(deadlock_chain(), 4))
     assert v.status is SolverStatus.UNSAT
 
 
 def test_input_values_survive_into_models():
     sys = input_chain(2)
     q = encode_base_case(sys, 3)
-    v = check(q)
+    v = Solver(SolverConfig()).check(q)
     assert v.status is SolverStatus.SAT
     dec = decode_model(q, v.model)
     assert [s["x"] for s in dec.trace.states] == [0, 1, 2]
@@ -161,7 +160,7 @@ def test_target_hit_decodes_with_target_id():
     goal = State({"x": 3})
     t = Target(goal, Trace((goal,), ()), 1, 9)
     q = encode_extended_base_case(sys, 4, (t,), include_violations=False)
-    v = check(q)
+    v = Solver(SolverConfig()).check(q)
     assert v.status is SolverStatus.SAT
     dec = decode_model(q, v.model)
     assert dec.matched_target == 9
@@ -179,7 +178,7 @@ def test_enum_builds_a_formula_only_for_sat_answers(sys):
     statuses = set()
     for k in (1, 2, 3):
         for q in _queries(sys, k):
-            v = check(q)
+            v = Solver(SolverConfig()).check(q)
             statuses.add(v.status)
             if v.status is SolverStatus.UNSAT:
                 assert "_formula" not in vars(q) and "decls" not in vars(q)
@@ -195,7 +194,7 @@ def test_enum_model_that_fails_the_recheck_raises(monkeypatch):
     # x=0 violates nothing, so this "path" cannot satisfy the base case
     monkeypatch.setattr(solver_mod, "find_path", lambda *args, **kwargs: ([(0,)], []))
     with pytest.raises(InternalError, match="model fails re-check for base k=2"):
-        check(encode_base_case(chain_bug(5), 2))
+        Solver(SolverConfig()).check(encode_base_case(chain_bug(5), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +213,22 @@ def test_naive_used_when_state_space_exceeds_cap():
         props=(ir.Prop("p", ir.TRUE),),
         halt=ir.FALSE,
     )
-    v = check(encode_base_case(sys, 1))
+    v = Solver(SolverConfig()).check(encode_base_case(sys, 1))
     assert v.status is SolverStatus.UNKNOWN
     assert "external solver" in v.diagnostic
 
 
-def test_naive_within_budget_still_answers():
+def test_naive_within_budget_still_answers(monkeypatch):
     sys = chain_bug(2)  # 2 state bits, no inputs
     # a 1-bit cap admits neither the executor nor the 2-bit k=1 query
-    v = Solver(SolverConfig(enum_bit_cap=1)).check(encode_base_case(sys, 1))
+    with monkeypatch.context() as m:
+        m.setattr(solver_mod, "ENUM_BIT_CAP", 1)
+        v = Solver(SolverConfig()).check(encode_base_case(sys, 1))
     assert v.status is SolverStatus.UNKNOWN
     # within its budget the naive enumerator answers, and its model decodes
     # to a trace the reference semantics accept
     q = encode_base_case(sys, 3)
-    naive = _naive_check(q, SolverConfig())
+    naive = _naive_check(q)
     assert naive.status is SolverStatus.SAT
     dec = decode_model(q, naive.model)
     assert replay_trace(sys, dec.trace)
@@ -255,18 +256,19 @@ def test_naive_used_over_the_cap_even_when_the_slot_holds_the_executor(monkeypat
     sys = chain_bug(2)
     assert Solver(SolverConfig()).check(encode_base_case(sys, 1)).status is SolverStatus.UNSAT
     naive = []
-    monkeypatch.setattr(solver_mod, "_naive_check", lambda q, cfg: naive.append(q) or "naive")
+    monkeypatch.setattr(solver_mod, "_naive_check", lambda q: naive.append(q) or "naive")
+    monkeypatch.setattr(solver_mod, "ENUM_BIT_CAP", 1)
     q = encode_base_case(sys, 1)
-    assert Solver(SolverConfig(enum_bit_cap=1)).check(q) == "naive"
+    assert Solver(SolverConfig()).check(q) == "naive"
     assert naive == [q]
 
 
 def test_compare_builds_one_executor_for_both_engines(monkeypatch):
     built = []
 
-    def build(sys, **caps):
+    def build(sys):
         built.append(sys)
-        return SystemExecutor(sys, **caps)
+        return SystemExecutor(sys)
 
     monkeypatch.setattr(solver_mod, "SystemExecutor", build)
     sys = chain_bug(9)
@@ -279,7 +281,8 @@ def test_compare_builds_one_executor_for_both_engines(monkeypatch):
 
 def test_naive_answers_when_inputs_break_the_cap():
     sys = _wide_input_system()
-    solver = Solver(SolverConfig(enum_bit_cap=24))
+    assert solver_mod.ENUM_BIT_CAP == 24
+    solver = Solver(SolverConfig())
     q = encode_base_case(sys, 1)
     v = solver.check(q)
     assert v.status is SolverStatus.SAT
