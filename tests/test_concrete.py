@@ -8,7 +8,9 @@ must produce identical initial-state and successor sets, in identical order.
 
 from __future__ import annotations
 
+import threading
 from itertools import product
+from sys import getswitchinterval, setswitchinterval
 
 import pytest
 
@@ -19,7 +21,7 @@ from kindmc.ir import State, eval_expr
 from kindmc.solver import _executor
 
 from randsys import corpus
-from systems import deadlock_chain, halt_sink, saturating
+from systems import deadlock_chain, halt_sink, moving_halt, saturating
 
 
 def _naive_initials(sys):
@@ -201,4 +203,27 @@ def test_interleaved_systems_rebuild_their_executor():
     s = again.initial_states()[0]
     assert again.next_rows[s] == tuple(dict.fromkeys(ns for _, ns in ex_a.successors(s)))
     assert again.good_states() == ex_a.good_states()
+
+
+def test_threads_querying_different_systems_get_their_own_executor():
+    systems = [saturating(), halt_sink(), moving_halt(), deadlock_chain()]
+    wrong = []
+
+    def work(sys):
+        for _ in range(20000):
+            if _executor(sys).system is not sys:
+                wrong.append(sys.name)
+
+    old = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in systems]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
