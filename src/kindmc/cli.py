@@ -6,9 +6,10 @@
     kindmc oracle  <system> [--cap BITS]
 
 Exit codes: 0 the system is correct (or the command simply succeeded),
-1 a bug was found, 2 the iteration bound was exhausted, 3 usage, parse, or
-configuration errors, 4 the two engines contradicted each other, 5 an
-internal error (a broken invariant or any other unexpected exception).
+1 a bug was found, 2 the iteration bound was exhausted, 3 a usage error or
+bad input (any KindmcError but the two below, or an OSError), 4 the two
+engines contradicted each other, 5 an internal error (a broken invariant or
+any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -28,16 +29,9 @@ from .engine import (
     compare,
     run,
 )
-from .errors import (
-    ConfigError,
-    DiscrepancyError,
-    InternalError,
-    ParseError,
-    ProtocolError,
-    ValidationError,
-)
+from .errors import ConfigError, DiscrepancyError, InternalError, KindmcError
 from .frontend import BenchmarkSpec, generate_benchmark, parse_file
-from .ir import Trace, TransitionSystem
+from .ir import Trace, TransitionSystem, _fmt_value
 from .oracle import DEFAULT_STATE_BIT_CAP, OracleVerdict, bfs_check
 from .solver import resolve_config
 
@@ -188,12 +182,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
 
 # ---------------------------------------------------------------------------
 # Output helpers
-
-
-def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
 
 
 def format_trace(trace: Trace) -> list[str]:
@@ -428,12 +416,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DiscrepancyError as e:
         print(f"kindmc: discrepancy: {e}", file=sys.stderr)
         return 4
-    except (ParseError, ConfigError, ValidationError, ProtocolError, OSError) as e:
-        print(f"kindmc: error: {e}", file=sys.stderr)
-        return 3
     except InternalError as e:
         print(f"kindmc: internal error: {e}", file=sys.stderr)
         return 5
+    except (KindmcError, OSError) as e:  # every other package error is about the input
+        print(f"kindmc: error: {e}", file=sys.stderr)
+        return 3
     except Exception as e:  # exit 1 would claim a bug was found
         print(f"kindmc: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 5

@@ -228,62 +228,55 @@ class SystemExecutor:
                 residual.append(c)
         return defs, residual
 
-    def _split_init(self) -> tuple[list[tuple[str, Expr]], list[Expr], list[str]]:
-        """Topologically ordered definitional init conjuncts, residual
-        conjuncts, and the names left free (assigned by enumeration)."""
-        pending = _flatten_and(self.system.init)
-        candidates: dict[str, tuple[int, Expr]] = {}
-        for idx, c in enumerate(pending):
+    def _split_init(self) -> tuple[list[tuple[str, Expr]], list[str]]:
+        """Topologically ordered definitional init conjuncts and the names
+        left free (assigned by enumeration)."""
+        candidates: dict[str, Expr] = {}
+        for c in _flatten_and(self.system.init):
             d = _as_definition(c, "var")
             if d is not None and d[0] in self._state_slots and d[0] not in candidates:
-                candidates[d[0]] = (idx, d[1])
+                candidates[d[0]] = d[1]
         # a dependency is resolvable once defined, or immediately if it can
         # never be defined (then enumeration assigns it before any defs run)
         never_defined = set(self.state_names) - candidates.keys()
         defs: list[tuple[str, Expr]] = []
         defined: set[str] = set()
-        chosen: set[int] = set()
         changed = True
         while changed:
             changed = False
-            for name, (idx, rhs) in candidates.items():
+            for name, rhs in candidates.items():
                 if name in defined:
                     continue
                 if free_names(rhs) <= defined | never_defined:
                     defs.append((name, rhs))
                     defined.add(name)
-                    chosen.add(idx)
                     changed = True
-        residual = [c for i, c in enumerate(pending) if i not in chosen]
         free = [n for n in self.state_names if n not in defined]
-        return defs, residual, free
+        return defs, free
 
     # -- enumeration
 
     def initial_states(self) -> tuple[tuple, ...]:
-        """All states satisfying init, in ascending declaration order."""
+        """All states satisfying init, in ascending declaration order. The
+        definitional conjuncts of init fix some variables from the others, so
+        only the rest are enumerated; each candidate is then checked against
+        the whole of init."""
         if self._initial is not None:
             return self._initial
-        defs, residual, free = self._split_init()
+        defs, free = self._split_init()
         free_idx = [self._state_slots[n] for n in free]
         domains = [self._state_domains[i] for i in free_idx]
         def_fns = [(self._state_slots[n], compile_expr(rhs, self._state_slots)) for n, rhs in defs]
-        res_fns = [compile_expr(c, self._state_slots) for c in residual]
         init_fn = compile_expr(self.system.init, self._state_slots)
         found: list[tuple] = []
         scratch: list[Value] = [d[0] for d in self._state_domains]
         for combo in product(*domains) if domains else (tuple(),):
             for pos, v in zip(free_idx, combo):
                 scratch[pos] = v
-            ok = True
             # definitions may depend on each other; run in topological order
             for pos, fn in def_fns:
                 scratch[pos] = fn(scratch)
-            for fn in res_fns:
-                if not fn(scratch):
-                    ok = False
-                    break
-            if ok and init_fn(scratch):
+            if init_fn(scratch):
                 found.append(tuple(scratch))
         found.sort()
         self._initial = tuple(found)

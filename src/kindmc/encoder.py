@@ -48,7 +48,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import ir
 from .errors import InternalError
-from .ir import BOOL, Expr, Sort, State, TransitionSystem, VarRole
+from .ir import BOOL, Expr, Sort, State, TransitionSystem
 
 
 class QueryKind(Enum):
@@ -63,7 +63,6 @@ class TimedVar:
     base: str
     step: int
     sort: Sort
-    role: VarRole
 
     @property
     def name(self) -> str:
@@ -138,12 +137,6 @@ def timed(e: Expr, step: int) -> Expr:
     return Expr(e.op, e.sort, tuple(timed(a, step) for a in e.args), e.name, e.value)
 
 
-def _value_const(v: ir.Value, sort: Sort) -> Expr:
-    if sort.is_bool:
-        return ir.TRUE if v else ir.FALSE
-    return ir.const(int(v), sort)
-
-
 def state_equals(sys: TransitionSystem, step: int, state: State) -> Expr:
     """s_step equals the given concrete state, as a conjunction over state
     variables."""
@@ -165,10 +158,10 @@ def _decls(sys: TransitionSystem, k: int) -> tuple[TimedVar, ...]:
     out: list[TimedVar] = []
     for step in range(1, k + 1):
         for d in sys.state_vars:
-            out.append(TimedVar(d.name, step, d.sort, VarRole.STATE))
+            out.append(TimedVar(d.name, step, d.sort))
         if step < k:
             for d in sys.input_vars:
-                out.append(TimedVar(d.name, step, d.sort, VarRole.INPUT))
+                out.append(TimedVar(d.name, step, d.sort))
     return tuple(out)
 
 
@@ -202,7 +195,7 @@ class _TimedTerms(dict):
         e = self._equals.get(key)
         if e is None:
             e = self._equals[key] = ir.eq(
-                ir.var(f"{d.name}@{step}", d.sort), _value_const(value, d.sort)
+                ir.var(f"{d.name}@{step}", d.sort), ir.const(value, d.sort)
             )
         return e
 

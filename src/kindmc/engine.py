@@ -187,7 +187,7 @@ def _run(sys: TransitionSystem, cfg: EngineConfig, extended: bool) -> Verificati
             matched_target_id=matched,
             iterations=tuple(iterations),
             targets=tuple(targets),
-            solver_calls=solver.calls,
+            solver_calls=sum(len(it.checks) for it in iterations),
             warnings=tuple(warnings),
             wall_ms=(time.perf_counter() - t0) * 1000.0,
         )

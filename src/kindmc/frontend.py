@@ -22,9 +22,9 @@ timed variable names).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import ir
 from .errors import ConfigError, ParseError
@@ -153,6 +153,15 @@ class _Env:
     where: str
 
 
+def _bv_sort(width: int, node: SNode) -> Sort:
+    """The bit-vector sort of the given width, or a ParseError at node."""
+    if not 1 <= width <= ir.MAX_WIDTH:
+        raise ParseError(
+            f"bit-vector width must be 1..{ir.MAX_WIDTH}, got {width}", node.line, node.col
+        )
+    return bitvec(width)
+
+
 def _elab_sort(node: SNode) -> Sort:
     if node.is_atom:
         if node.text == "bool":
@@ -162,14 +171,7 @@ def _elab_sort(node: SNode) -> Sort:
     if len(items) == 2 and items[0].is_atom and items[0].text == "bv":
         w = items[1]
         if w.is_atom and _DEC_RE.match(w.text or ""):
-            width = int(w.text)  # type: ignore[arg-type]
-            if not 1 <= width <= ir.MAX_WIDTH:
-                raise ParseError(
-                    f"bit-vector width must be 1..{ir.MAX_WIDTH}, got {width}",
-                    w.line,
-                    w.col,
-                )
-            return bitvec(width)
+            return _bv_sort(int(w.text), w)  # type: ignore[arg-type]
     raise ParseError("expected a sort: bool or (bv <width>)", node.line, node.col)
 
 
@@ -217,13 +219,11 @@ def _elab(node: SNode, env: _Env, expected: Optional[Sort]) -> Expr:
                 )
             return ir.const(value, expected)
         if _HEX_RE.match(text):
-            return _expect_sort(
-                ir.const(int(text[2:], 16), bitvec(4 * (len(text) - 2))), expected, node
-            )
+            sort = _bv_sort(4 * (len(text) - 2), node)
+            return _expect_sort(ir.const(int(text[2:], 16), sort), expected, node)
         if _BIN_RE.match(text):
-            return _expect_sort(
-                ir.const(int(text[2:], 2), bitvec(len(text) - 2)), expected, node
-            )
+            sort = _bv_sort(len(text) - 2, node)
+            return _expect_sort(ir.const(int(text[2:], 2), sort), expected, node)
         if text in env.state:
             return _expect_sort(ir.var(text, env.state[text]), expected, node)
         if text in env.inputs:
@@ -339,6 +339,9 @@ def _elab_toplevel_literal(node: SNode, env: _Env, expected: Sort) -> Expr:
         ) from None
 
 
+_SINGLE_SECTIONS = ("init", "trans", "halt")
+
+
 def parse(text: str, name: str = "system") -> TransitionSystem:
     """Parse .kts source text into a validated TransitionSystem."""
     forms = _read(text)
@@ -353,9 +356,7 @@ def parse(text: str, name: str = "system") -> TransitionSystem:
 
     decls: list[VarDecl] = []
     names: set[str] = set()
-    init_node: Optional[SNode] = None
-    trans_node: Optional[SNode] = None
-    halt_node: Optional[SNode] = None
+    single: dict[str, SNode] = {}  # init, trans and halt, each given once
     prop_nodes: list[tuple[str, SNode]] = []
     prop_names: set[str] = set()
 
@@ -380,21 +381,12 @@ def parse(text: str, name: str = "system") -> TransitionSystem:
             names.add(vname)
             role = VarRole.STATE if head == "var" else VarRole.INPUT
             decls.append(VarDecl(vname, _elab_sort(body[1]), role))
-        elif head in ("init", "trans", "halt"):
+        elif head in _SINGLE_SECTIONS:
             if len(body) != 1:
                 raise ParseError(f"expected ({head} <expr>)", sec.line, sec.col)
-            if head == "init":
-                if init_node is not None:
-                    raise ParseError("duplicate init section", sec.line, sec.col)
-                init_node = body[0]
-            elif head == "trans":
-                if trans_node is not None:
-                    raise ParseError("duplicate trans section", sec.line, sec.col)
-                trans_node = body[0]
-            else:
-                if halt_node is not None:
-                    raise ParseError("duplicate halt section", sec.line, sec.col)
-                halt_node = body[0]
+            if head in single:
+                raise ParseError(f"duplicate {head} section", sec.line, sec.col)
+            single[head] = body[0]
         elif head == "prop":
             if len(body) != 2 or not body[0].is_atom:
                 raise ParseError("expected (prop <name> <expr>)", sec.line, sec.col)
@@ -408,12 +400,9 @@ def parse(text: str, name: str = "system") -> TransitionSystem:
         else:
             raise ParseError(f"unknown section {head!r}", sec.line, sec.col)
 
-    if init_node is None:
-        raise ParseError("missing init section", top.line, top.col)
-    if trans_node is None:
-        raise ParseError("missing trans section", top.line, top.col)
-    if halt_node is None:
-        raise ParseError("missing halt section", top.line, top.col)
+    for head in _SINGLE_SECTIONS:
+        if head not in single:
+            raise ParseError(f"missing {head} section", top.line, top.col)
     if not prop_nodes:
         raise ParseError("missing prop section (at least one is required)", top.line, top.col)
     if not any(d.role is VarRole.STATE for d in decls):
@@ -423,13 +412,13 @@ def parse(text: str, name: str = "system") -> TransitionSystem:
     inputs = {d.name: d.sort for d in decls if d.role is VarRole.INPUT}
 
     init = _elab_toplevel_literal(
-        init_node, _Env(state, inputs, False, False, "init"), BOOL
+        single["init"], _Env(state, inputs, False, False, "init"), BOOL
     )
     trans = _elab_toplevel_literal(
-        trans_node, _Env(state, inputs, True, True, "trans"), BOOL
+        single["trans"], _Env(state, inputs, True, True, "trans"), BOOL
     )
     halt = _elab_toplevel_literal(
-        halt_node, _Env(state, inputs, False, False, "halt"), BOOL
+        single["halt"], _Env(state, inputs, False, False, "halt"), BOOL
     )
     props = tuple(
         Prop(pname, _elab_toplevel_literal(pnode, _Env(state, inputs, False, False, f"prop {pname}"), BOOL))
@@ -440,8 +429,26 @@ def parse(text: str, name: str = "system") -> TransitionSystem:
 
 
 def parse_file(path: Union[str, Path]) -> TransitionSystem:
+    """Parse a .kts file, read as UTF-8 with universal newlines."""
     p = Path(path)
-    return parse(p.read_text(encoding="utf-8"), name=p.stem)
+    data = p.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the bytes before the first bad one decode; count them as the reader does
+        before = _newlines(data[: e.start].decode("utf-8"))
+        raise ParseError(
+            f"invalid UTF-8 byte 0x{data[e.start]:02x}",
+            before.count("\n") + 1,
+            len(before) - before.rfind("\n"),
+        ) from None
+    return parse(_newlines(text), name=p.stem)
+
+
+def _newlines(text: str) -> str:
+    """Each CR LF pair and each lone CR as LF, as a file opened in text
+    mode reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -96,17 +96,6 @@ class Expr:
     name: str = ""        # payload for var / next
     value: Value = False  # payload for const
 
-    def __str__(self) -> str:
-        if self.op == "const":
-            if self.sort.is_bool:
-                return "true" if self.value else "false"
-            return f"{self.value}:{self.sort}"
-        if self.op == "var":
-            return self.name
-        if self.op == "next":
-            return f"(next {self.name})"
-        return "(" + " ".join([self.op] + [str(a) for a in self.args]) + ")"
-
 
 def const(value: Value, sort: Sort) -> Expr:
     if not sort.contains(value if not sort.is_bool else bool(value)):
@@ -373,12 +362,6 @@ class TransitionSystem:
     def input_vars(self) -> tuple[VarDecl, ...]:
         return tuple(v for v in self.vars if v.role is VarRole.INPUT)
 
-    def sort_of(self, name: str) -> Sort:
-        for v in self.vars:
-            if v.name == name:
-                return v.sort
-        raise ValidationError(f"undeclared variable {name!r}")
-
     @property
     def state_bits(self) -> int:
         return sum(v.sort.bits for v in self.state_vars)
@@ -511,12 +494,6 @@ class State:
             if k == name:
                 return v
         raise KeyError(name)
-
-    def get(self, name: str, default: Optional[Value] = None) -> Optional[Value]:
-        for k, v in self._items:
-            if k == name:
-                return v
-        return default
 
     def __contains__(self, name: str) -> bool:
         return any(k == name for k, _ in self._items)
@@ -657,17 +634,16 @@ class ReplayVerdict:
         return self.ok
 
 
-def replay_trace(
-    sys: TransitionSystem, trace: Trace, require_init: bool = True
-) -> ReplayVerdict:
+def replay_trace(sys: TransitionSystem, trace: Trace) -> ReplayVerdict:
     """Check a trace against a system, step by step.
 
     Verifies that every state binds exactly the state variables with in-range
-    values, that state 0 satisfies init (unless require_init is False, used
-    for inductive-step suffixes), that every step satisfies trans under its
-    recorded inputs, and that violated_prop, when set, names a property that
-    is false at the final state. Malformed traces yield an invalid verdict
-    with a reason; this function does not raise.
+    values, that state 0 satisfies init, that every step satisfies trans
+    under its recorded inputs, and that violated_prop, when set, names a
+    property that is false at the final state. Malformed traces yield an
+    invalid verdict with a reason; this function does not raise. To replay
+    a path that need not start in an initial state, such as an inductive
+    step's suffix, replay it against the system with init replaced by true.
     """
     svars = sys.state_vars
     ivars = sys.input_vars
@@ -687,7 +663,7 @@ def replay_trace(
             for n in inames:
                 if not sorts[n].contains(iv[n]):
                     return ReplayVerdict(False, f"inputs {i}: {n}={iv[n]!r} out of range", i)
-        if require_init and not eval_expr(sys.init, trace.states[0]):
+        if not eval_expr(sys.init, trace.states[0]):
             return ReplayVerdict(False, "state 0 does not satisfy init", 0)
         for i in range(len(trace.states) - 1):
             if not eval_expr(sys.trans, trace.states[i], trace.inputs[i], trace.states[i + 1]):

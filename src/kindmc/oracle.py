@@ -19,11 +19,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from .concrete import SystemExecutor
 from .errors import ConfigError
-from .ir import State, Trace, TransitionSystem
+from .ir import Trace, TransitionSystem
 
 DEFAULT_STATE_BIT_CAP = 20
 DEFAULT_INPUT_BIT_CAP = 16
@@ -47,21 +47,12 @@ def bfs_check(sys: TransitionSystem, state_bit_cap: int = DEFAULT_STATE_BIT_CAP)
     violating trace if any reachable state breaks a property, otherwise
     reports the space safe with the exploration statistics."""
     ex = _executor(sys, state_bit_cap)
-    found, depth, parent = _bfs(ex, lambda s: ex.violated_prop(s) is not None)
+    found, depth, parent = _bfs(ex)
     if found is None:
         return OracleResult(OracleVerdict.SAFE_WITHIN_EXPLORED, None, len(parent), depth)
     return OracleResult(
         OracleVerdict.UNSAFE, _trace_to(ex, found, parent), len(parent), depth
     )
-
-
-def reachable(sys: TransitionSystem, goal: State) -> Optional[int]:
-    """Depth (number of states on a shortest initial path) at which the
-    goal state is reached, or None when it is unreachable."""
-    ex = _executor(sys, DEFAULT_STATE_BIT_CAP)
-    goal_t = ex.state_tuple(goal)
-    found, depth, _ = _bfs(ex, lambda s: s == goal_t)
-    return None if found is None else depth
 
 
 def _executor(sys: TransitionSystem, state_bit_cap: int) -> SystemExecutor:
@@ -76,12 +67,12 @@ def _executor(sys: TransitionSystem, state_bit_cap: int) -> SystemExecutor:
 
 
 def _bfs(
-    ex: SystemExecutor, goal: Callable[[tuple], bool]
+    ex: SystemExecutor,
 ) -> tuple[Optional[tuple], int, dict[tuple, Optional[tuple[tuple, tuple]]]]:
-    """Breadth-first over the reachable states, testing goal as each state
-    leaves the queue. Returns the first goal state (or None), its depth (or
-    the deepest depth explored) and the parent link of every discovered
-    state."""
+    """Breadth-first over the reachable states, testing the properties as
+    each state leaves the queue. Returns the first violating state (or
+    None), its depth (or the deepest depth explored) and the parent link of
+    every discovered state."""
     parent: dict[tuple, Optional[tuple[tuple, tuple]]] = {}
     queue: deque[tuple[tuple, int]] = deque()
     for s in ex.initial_states():
@@ -92,7 +83,7 @@ def _bfs(
     while queue:
         s, depth = queue.popleft()
         max_depth = max(max_depth, depth)
-        if goal(s):
+        if ex.violated_prop(s) is not None:
             return s, depth, parent
         for u, ns in ex.successors(s):
             if ns not in parent:

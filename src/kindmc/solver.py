@@ -37,10 +37,10 @@ from __future__ import annotations
 import os
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .concrete import SystemExecutor, _domain, find_path
 from .encoder import Marker, Query, QueryKind, serialize_smtlib
@@ -109,14 +109,12 @@ _executor = per_system(lambda sys: SystemExecutor(sys))
 
 
 class Solver:
-    """A checking session: the configuration and a count of checks."""
+    """A checking session over one configuration."""
 
     def __init__(self, cfg: SolverConfig) -> None:
         self.cfg = cfg
-        self.calls = 0
 
     def check(self, q: Query) -> SolverVerdict:
-        self.calls += 1
         if self.cfg.backend == "external":
             return _check_external(q, self.cfg)
         return self._check_enum(q)
@@ -366,7 +364,6 @@ def _parse_value(node) -> Optional[Value]:
 @dataclass(frozen=True)
 class DecodedModel:
     trace: Trace
-    depth: int
     matched_target: Optional[int] = None
 
 
@@ -414,11 +411,11 @@ def decode_model(q: Query, model: Model) -> DecodedModel:
         states, inputs = _path_in(q, model, m.depth)
         if m.target_id is None:
             violated = _first_false_prop(q, states[-1])
-            return DecodedModel(Trace(states, inputs, violated), m.depth)
-        return DecodedModel(Trace(states, inputs), m.depth, matched_target=m.target_id)
+            return DecodedModel(Trace(states, inputs, violated))
+        return DecodedModel(Trace(states, inputs), matched_target=m.target_id)
 
     states, inputs = _path_in(q, model, q.k)
     if q.kind is QueryKind.INDUCTIVE:
         violated = _first_false_prop(q, states[-1])
-        return DecodedModel(Trace(states, inputs, violated), q.k)
-    return DecodedModel(Trace(states, inputs), q.k)
+        return DecodedModel(Trace(states, inputs, violated))
+    return DecodedModel(Trace(states, inputs))

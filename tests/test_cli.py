@@ -13,7 +13,15 @@ import kindmc.cli as cli_mod
 import kindmc.engine as engine_mod
 from kindmc.cli import RUN_RECORD_SCHEMA, main
 from kindmc.engine import ComparisonRecord, Outcome, VerificationReport
-from kindmc.errors import DiscrepancyError
+from kindmc.errors import (
+    ConfigError,
+    DiscrepancyError,
+    InternalError,
+    ParseError,
+    ProtocolError,
+    SortError,
+    ValidationError,
+)
 from kindmc.ir import ReplayVerdict
 
 from systems import nested_not
@@ -147,6 +155,65 @@ def test_nesting_built_in_python_exits_3(capsys, monkeypatch):
     code, out, err = _run(capsys, ["verify", "--family", "chain_bug", "--d", "3"])
     assert (code, out) == (3, "")
     assert err == "kindmc: error: prop deep is nested deeper than 200 levels\n"
+
+
+@pytest.mark.parametrize(
+    "literal,width",
+    [("#x" + "1" * 17, 68), ("#b" + "0" * 65, 65)],
+    ids=["hex-17-digits", "bin-65-digits"],
+)
+def test_literal_wider_than_64_bits_exits_3(capsys, tmp_path, literal, width):
+    f = tmp_path / "wide.kts"
+    f.write_text(
+        "(system (var x (bv 3))\n"
+        f"  (init (= x {literal}))\n"
+        "  (trans (= (next x) x)) (prop p true) (halt false))\n"
+    )
+    code, out, err = _run(capsys, ["verify", str(f)])
+    assert (code, out) == (3, "")
+    assert err == f"kindmc: error: 2:14: bit-vector width must be 1..64, got {width}\n"
+
+
+def test_non_utf8_file_exits_3(capsys, tmp_path):
+    f = tmp_path / "latin1.kts"
+    # a Latin-1 byte after valid UTF-8; the two-byte character before it
+    # counts as one column, as the reader counts it
+    f.write_bytes(
+        "(system (var x (bv 3)) ; café\n".encode()
+        + b"  ; \xc3\xa9t\xe9\n"
+        + b"  (init (= x 0)) (trans (= (next x) x)) (prop p true) (halt false))\n"
+    )
+    code, out, err = _run(capsys, ["verify", str(f)])
+    assert (code, out) == (3, "")
+    assert err == "kindmc: error: 2:7: invalid UTF-8 byte 0xe9\n"
+
+
+_ERROR_EXITS = [
+    (ParseError("bad token", 2, 7), 3, "kindmc: error: 2:7: bad token"),
+    (SortError("bad sort"), 3, "kindmc: error: bad sort"),
+    (ValidationError("bad system"), 3, "kindmc: error: bad system"),
+    (ConfigError("bad option"), 3, "kindmc: error: bad option"),
+    (ProtocolError("bad model"), 3, "kindmc: error: bad model"),
+    (FileNotFoundError("no such file"), 3, "kindmc: error: no such file"),
+    (DiscrepancyError("engines disagree"), 4, "kindmc: discrepancy: engines disagree"),
+    (InternalError("broken invariant"), 5, "kindmc: internal error: broken invariant"),
+    (RuntimeError("unexpected"), 5, "kindmc: internal error: RuntimeError: unexpected"),
+]
+
+
+@pytest.mark.parametrize(
+    "exc,code,message", _ERROR_EXITS, ids=[type(e[0]).__name__ for e in _ERROR_EXITS]
+)
+def test_exit_code_per_error_class(capsys, monkeypatch, exc, code, message):
+    # the exit-code table of the README: input-side errors 3, a contradiction
+    # 4, a broken invariant or anything unexpected 5
+    def boom(args, parser):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "_cmd_verify", boom)
+    got, out, err = _run(capsys, ["verify", "--family", "chain_bug", "--d", "3"])
+    assert (got, out) == (code, "")
+    assert err == message + "\n"
 
 
 def test_help_exits_0(capsys):

@@ -78,7 +78,7 @@ def test_timed_var_and_next():
 
 
 def test_timed_var_name_property():
-    tv = TimedVar("x", 4, bitvec(3), VarRole.STATE)
+    tv = TimedVar("x", 4, bitvec(3))
     assert tv.name == "x@4"
 
 
@@ -102,13 +102,6 @@ def test_props_conj_folds_single():
 def test_decls_are_step_major_and_inputs_stop_early():
     q = encode_base_case(_tiny(), 3)
     assert [tv.name for tv in q.decls] == ["x@1", "c@1", "x@2", "c@2", "x@3"]
-    assert [tv.role for tv in q.decls] == [
-        VarRole.STATE,
-        VarRole.INPUT,
-        VarRole.STATE,
-        VarRole.INPUT,
-        VarRole.STATE,
-    ]
 
 
 def test_depth_must_be_positive():

@@ -8,11 +8,13 @@ k or witness-length change.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import kindmc.engine as engine_mod
+from kindmc import ir
 from kindmc.encoder import Target
 from kindmc.engine import (
     ComparisonRecord,
@@ -117,7 +119,7 @@ def test_chain5_extended_meets_in_the_middle():
     assert rep.matched_target_id == 3
     # every suffix is itself a valid non-anchored execution
     for t in rep.targets:
-        assert replay_trace(chain_bug(5), t.suffix, require_init=False)
+        assert replay_trace(replace(chain_bug(5), init=ir.TRUE), t.suffix)
         assert t.suffix.violated_prop == "below_limit"
     # iterations 1..3 add one target each and recheck it; 4 hits at base
     assert [it.targets_added for it in rep.iterations] == [1, 1, 1, 0]
@@ -185,6 +187,28 @@ def test_bound_exhausted():
     assert rep.outcome is Outcome.BOUND_EXHAUSTED
     assert rep.k == 4
     assert rep.witness is None
+
+
+def test_solver_calls_count_every_check(monkeypatch):
+    # one check record per Solver.check, whichever way the run ends: a bug
+    # (plain, or via a target), either proof, or the bound
+    checked = []
+    original = engine_mod.Solver.check
+
+    def counting(self, q):
+        checked.append(q)
+        return original(self, q)
+
+    monkeypatch.setattr(engine_mod.Solver, "check", counting)
+    runs = [(sys, None) for sys in (chain_bug(5), saturating(), halt_sink(), identity_spurious())]
+    runs.append((chain_bug(9), EngineConfig(max_k=4)))
+    for sys, cfg in runs:
+        for engine in (run_plain, run_extended):
+            checked.clear()
+            rep = engine(sys, cfg)
+            assert checked, sys.name
+            assert rep.solver_calls == len(checked), sys.name
+            assert rep.solver_calls == sum(len(it.checks) for it in rep.iterations)
 
 
 @pytest.mark.parametrize("max_k", [0, -5])
@@ -258,10 +282,8 @@ class _ScriptedSolver:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.calls = 0
 
     def check(self, q):
-        self.calls += 1
         type(self).seen.append(f"{q.kind.value}@{q.k}")
         return type(self).script.pop(0)
 

@@ -42,7 +42,7 @@ def test_parse_minimal_system():
     assert sys.name == "demo"
     assert [v.name for v in sys.state_vars] == ["x"]
     assert [v.name for v in sys.input_vars] == ["c"]
-    assert sys.sort_of("x") == bitvec(3)
+    assert {v.name: v.sort for v in sys.vars}["x"] == bitvec(3)
     assert sys.props[0].name == "below"
     # decimal literals picked up the sibling's width
     assert sys.init == ir.eq(ir.var("x", bitvec(3)), ir.bv_const(0, 3))
@@ -52,7 +52,7 @@ def test_comments_and_whitespace():
     src = "; leading comment\n(system (var x bool) ; trailing\n (init x)\n" \
           " (trans (= (next x) x)) (prop p x) (halt false))\n"
     sys = parse(src)
-    assert sys.sort_of("x") == BOOL
+    assert {v.name: v.sort for v in sys.vars}["x"] == BOOL
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +78,10 @@ _ERRORS = [
     ("(system (var x bool) (init x) (init x))", "duplicate init", 1, 31),
     ("(system (var x bool) (prop p! x))", "invalid property name", 1, 28),
     ("(system (var x bool) (prop p x) (prop p x))", "duplicate property", 1, 39),
+    ("(system (var x (bv 3)) (init (= x #x" + "f" * 17 + ")) (trans true) (prop p true)"
+     " (halt false))", "width must be 1..64, got 68", 1, 35),
+    ("(system (var x (bv 3)) (init (= x #b" + "1" * 65 + ")) (trans true) (prop p true)"
+     " (halt false))", "width must be 1..64, got 65", 1, 35),
 ]
 
 

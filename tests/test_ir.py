@@ -423,7 +423,6 @@ def test_state_mapping_behavior():
     s = State({"b": 2, "a": True})
     assert s.names() == ("a", "b")
     assert s["a"] is True and s["b"] == 2
-    assert s.get("missing") is None
     assert "a" in s and "z" not in s
     with pytest.raises(KeyError):
         s["z"]
@@ -481,10 +480,6 @@ def test_replay_valid_trace():
 def test_replay_rejects_bad_init():
     v = replay_trace(_counter(), _trace(1, 2))
     assert not v and v.index == 0 and "init" in v.reason
-
-
-def test_replay_init_optional():
-    assert replay_trace(_counter(), _trace(1, 2), require_init=False)
 
 
 def test_replay_rejects_bad_step():

@@ -9,8 +9,8 @@ from kindmc import oracle as oracle_mod
 from kindmc.engine import EngineConfig, Outcome, run_plain
 from kindmc.errors import ConfigError
 from kindmc.frontend import accumulator, chain_bug, const_check
-from kindmc.ir import State, replay_trace
-from kindmc.oracle import OracleVerdict, bfs_check, reachable
+from kindmc.ir import replay_trace
+from kindmc.oracle import OracleVerdict, bfs_check
 
 from randsys import corpus
 from systems import input_chain, moving_halt, saturating
@@ -54,18 +54,6 @@ def test_oracle_ignores_halt():
     assert [s["x"] for s in r.trace.states] == [0, 1, 2, 3]
 
 
-def test_reachable_depths():
-    sys = chain_bug(5)
-    assert reachable(sys, State({"x": 0})) == 1
-    assert reachable(sys, State({"x": 3})) == 4
-    assert reachable(sys, State({"x": 7})) == 8  # the counter wraps through 7
-
-
-def test_reachable_none_for_unreachable():
-    sys = const_check(3)
-    assert reachable(sys, State({"i": 0, "done": True})) is None
-
-
 def test_oracle_cap_is_config_error():
     with pytest.raises(ConfigError, match="state bits"):
         bfs_check(saturating(), state_bit_cap=2)
@@ -94,10 +82,8 @@ def test_bit_caps_enforced(monkeypatch):
     monkeypatch.setattr(oracle_mod, "SystemExecutor", built.append)
     with pytest.raises(ConfigError, match="17 input bits per step, cap is 16"):
         bfs_check(_wide(2, 17))
-    with pytest.raises(ConfigError, match="17 input bits per step, cap is 16"):
-        reachable(_wide(2, 17), State({"x": 0}))
     with pytest.raises(ConfigError, match="21 state bits, cap is 20"):
-        reachable(_wide(21, 1), State({"x": 0}))
+        bfs_check(_wide(21, 1))
     assert built == []
 
 

@@ -7,6 +7,8 @@ answer must decode to a trace the reference semantics accept.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from kindmc import ir
@@ -87,8 +89,7 @@ def test_sat_base_models_decode_to_valid_traces(agreement_corpus):
                 continue
             dec = decode_model(q, v.model)
             assert dec.matched_target is None
-            assert 1 <= dec.depth <= k
-            assert len(dec.trace.states) == dec.depth
+            assert 1 <= len(dec.trace.states) <= k
             assert replay_trace(sys, dec.trace), sys.name
 
 
@@ -103,7 +104,7 @@ def test_sat_inductive_models_are_bad_suffixes(agreement_corpus):
         dec = decode_model(q, v.model)
         assert len(dec.trace.states) == 3
         # not anchored at init, but every step must be a real transition
-        assert replay_trace(sys, dec.trace, require_init=False), sys.name
+        assert replay_trace(replace(sys, init=ir.TRUE), dec.trace), sys.name
         phi = phi_of(sys)
         assert eval_expr(phi, dec.trace.states[0]) is True
         assert eval_expr(phi, dec.trace.states[1]) is True
@@ -133,7 +134,7 @@ def test_base_model_padding_after_early_violation():
     assert v.model["x@3"] == 2
     assert v.model["x@4"] == 2 and v.model["x@5"] == 2
     dec = decode_model(q, v.model)
-    assert dec.depth == 3
+    assert len(dec.trace.states) == 3
     assert [s["x"] for s in dec.trace.states] == [0, 1, 2]
     assert replay_trace(sys, dec.trace)
 
@@ -164,7 +165,7 @@ def test_target_hit_decodes_with_target_id():
     assert v.status is SolverStatus.SAT
     dec = decode_model(q, v.model)
     assert dec.matched_target == 9
-    assert dec.depth == 4
+    assert len(dec.trace.states) == 4
     assert dec.trace.states[-1] == goal
     assert dec.trace.violated_prop is None
 
@@ -319,7 +320,7 @@ def test_decode_prefers_shallower_events():
     sys, q = _decode_query()
     model = _model(q, [5, 3, 5], **{"viol@@1": True, "viol@@3": True, "tgt1@@2": True})
     dec = decode_model(q, model)
-    assert dec.depth == 1 and dec.matched_target is None
+    assert len(dec.trace.states) == 1 and dec.matched_target is None
     assert dec.trace.violated_prop == "below_limit"
 
 
@@ -327,7 +328,7 @@ def test_decode_prefers_violations_over_targets_at_same_depth():
     sys, q = _decode_query()
     model = _model(q, [0, 5, 0], **{"viol@@2": True, "tgt1@@2": True})
     dec = decode_model(q, model)
-    assert dec.depth == 2
+    assert len(dec.trace.states) == 2
     assert dec.matched_target is None
     assert dec.trace.violated_prop == "below_limit"
 
@@ -341,7 +342,7 @@ def test_decode_ignores_markers_past_a_broken_path():
         decode_model(q, model)
     model["path@@3"] = True  # deeper marker survives on its own path flag
     dec = decode_model(q, model)
-    assert dec.depth == 3 and dec.trace.violated_prop == "below_limit"
+    assert len(dec.trace.states) == 3 and dec.trace.violated_prop == "below_limit"
 
 
 def test_decode_rejects_viol_marker_without_violation():
@@ -497,10 +498,3 @@ def test_external_timeout_is_unknown():
     assert v.status is SolverStatus.UNKNOWN
     assert "timed out" in v.diagnostic
 
-
-def test_solver_session_counts_calls():
-    s = Solver(SolverConfig())
-    assert s.calls == 0
-    s.check(encode_base_case(chain_bug(2), 1))
-    s.check(encode_base_case(chain_bug(2), 2))
-    assert s.calls == 2
