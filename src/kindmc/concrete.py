@@ -19,13 +19,19 @@ property), and its first bad one. The good states themselves, in
 enumeration order, are computed once. So no edge is interpreted in Python
 again after its first visit, however many queries walk it.
 
-find_path is the one breadth-first path search over concrete states. The
-enum backend answers every query kind with it, from the initial states for
-base cases and the forward condition and from the good states for the
-inductive step. Each layer is built from the rows of the one before, and a
-path is rebuilt only once a goal is found, by taking each state's first
-predecessor in the previous layer. Ties go to the first state discovered,
-so the enumeration order above fixes every witness.
+Each executor also keeps three search chains, the one breadth-first path
+search behind the enum backend: shortest paths from the initial states
+(base cases), paths of exactly k states from the initial states (the
+forward condition) and paths of exactly k states from the good states,
+through good states, to a violation (the inductive step). A chain keeps
+its layers, each built from the rows of the one before, so a query at
+depth k adds at most the layers no earlier query needed: one per
+iteration of the engine, not k. The answer of an exact chain at each
+depth is a fact of the system and is kept too; the shortest-path chain
+numbers its states in discovery order and answers with the goal of least
+number. A path is rebuilt only once a goal is found, by taking each
+state's first predecessor in the previous layer. Ties go to the first
+state discovered, so the enumeration order above fixes every witness.
 
 The executor enumerates whatever it is given: its callers bound the
 state and input bits first (the solver's enum backend, the oracle, and
@@ -35,10 +41,12 @@ sinks, which a forward-condition proof relies on.
 
 from __future__ import annotations
 
+import threading
 import weakref
-from itertools import chain, compress, filterfalse, islice, product, repeat
+from bisect import bisect_right
+from itertools import chain, compress, count, filterfalse, islice, product, repeat
 from operator import contains, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InternalError
 from .ir import (
@@ -212,6 +220,25 @@ class SystemExecutor:
         self.next_rows = _Rows(self, SystemExecutor._next_row)
         self.good_rows = _Rows(self, SystemExecutor._good_row)
         self.bad_rows = _Rows(self, SystemExecutor._bad_row)
+        # the enum backend's searches: base cases, the forward condition
+        # and the inductive step (at k = 1, a single bad state)
+        self.reach = _ReachChain(self)
+        self.forward = _ExactChain(
+            self,
+            SystemExecutor.initial_states,
+            self.next_rows,
+            self.next_rows,
+            _running,
+            SystemExecutor.initial_states,
+        )
+        self.inductive = _ExactChain(
+            self,
+            SystemExecutor.good_states,
+            self.good_rows,
+            self.bad_rows,
+            _violating,
+            SystemExecutor.all_states,
+        )
 
     # -- structure extraction
 
@@ -385,59 +412,161 @@ class _Rows(dict):
 
 
 # ---------------------------------------------------------------------------
-# Path search
+# Layered search chains
+
+Path = tuple[list[tuple], list[tuple]]
 
 
-def find_path(
-    ex: SystemExecutor,
-    rows: Mapping[tuple, tuple[tuple, ...]],
-    roots: Iterable[tuple],
-    k: int,
-    goal: Callable[[tuple], bool],
-    exact: bool = False,
-    last_rows: Optional[Mapping[tuple, tuple[tuple, ...]]] = None,
-) -> Optional[tuple[list[tuple], list[tuple]]]:
-    """Breadth-first search from distinct roots for the first discovered
-    goal state, expanding each state into rows[state].
+def _violating(ex: SystemExecutor) -> Callable[[tuple], bool]:
+    violated = ex.violated_prop
+    return lambda s: violated(s) is not None
 
-    By default the path found is a shortest one of at most k states, and a
-    state is discovered only once across all depths. With exact, the path
-    has exactly k states: each depth keeps its own discovered states and
-    goal is only tested at depth k, among the states that last_rows
-    (default rows) offers. last_rows may leave out states that cannot be
-    goals but must keep each row's order. Ties go to the first state
-    discovered, in root order and then row order. Returns the path's
-    states and inputs, or None.
-    """
-    if k == 1:
-        hit = next(filter(goal, roots), None)
-        return None if hit is None else ([hit], [])
-    layer = dict.fromkeys(roots)
-    if not exact:
-        hit = next(filter(goal, layer), None)
-        if hit is not None:
-            return [hit], []
-        seen = set(layer)
-    layers = [layer]
-    for depth in range(2, k + 1):
-        if not layer:
+
+def _running(ex: SystemExecutor) -> Callable[[tuple], bool]:
+    halt = ex.halt_fn
+    return lambda s: not halt(s)
+
+
+class _Chain:
+    """Breadth-first layers from fixed roots, kept and grown one layer at a
+    time: a query at depth k adds only the layers up to k that no earlier
+    query needed. Layer j holds the states at depth j in discovery
+    order, each expanded into rows[state]. Growth stops at the first empty
+    layer.
+
+    The executor is held weakly, as by _Rows. Queries on one chain hold its
+    lock, so sessions in several threads grow it once and read the same
+    layers."""
+
+    __slots__ = ("_ex", "_roots", "_rows", "layers", "_lock")
+
+    def __init__(
+        self,
+        ex: SystemExecutor,
+        roots: Callable[[SystemExecutor], Iterable[tuple]],
+        rows: Mapping[tuple, tuple[tuple, ...]],
+    ) -> None:
+        self._ex = weakref.ref(ex)
+        self._roots = roots
+        self._rows = rows
+        self.layers: list[dict[tuple, None]] = []
+        self._lock = threading.Lock()
+
+    def _grow(self, n: int) -> int:
+        """Hold n layers, or fewer ending in an empty one; returns how many
+        of the first n are held."""
+        layers = self.layers
+        if not layers:
+            self._add(dict.fromkeys(self._roots(self._ex())))
+        while len(layers) < n and layers[-1]:
+            self._add(self._step(chain.from_iterable(map(self._rows.__getitem__, layers[-1]))))
+        return min(n, len(layers))
+
+    def _step(self, step: Iterator[tuple]) -> dict[tuple, None]:
+        return dict.fromkeys(step)
+
+    def _add(self, layer: dict[tuple, None]) -> None:
+        self.layers.append(layer)
+
+
+class _ReachChain(_Chain):
+    """Shortest paths: a state is discovered once, at its least depth, and
+    numbered in discovery order. The answer within depth k is the goal
+    state of least number among the first k layers, the one a search that
+    tests each layer in turn finds first. Besides the numbers, the chain
+    keeps the first violating state, so a query costs a lookup per target."""
+
+    __slots__ = ("_index", "_ends", "_scanned", "_bad")
+
+    def __init__(self, ex: SystemExecutor) -> None:
+        super().__init__(ex, SystemExecutor.initial_states, ex.next_rows)
+        self._index: dict[tuple, int] = {}
+        self._ends: list[int] = []  # states discovered up to each layer
+        self._scanned = 0  # layers searched for a violation so far
+        self._bad: Optional[tuple] = None  # the first violating state found
+
+    def _step(self, step: Iterator[tuple]) -> dict[tuple, None]:
+        return dict.fromkeys(filterfalse(self._index.__contains__, step))
+
+    def _add(self, layer: dict[tuple, None]) -> None:
+        index = self._index
+        index.update(zip(layer, count(len(index))))
+        self._ends.append(len(index))
+        self.layers.append(layer)
+
+    def path(self, k: int, targets: Collection[tuple], violations: bool) -> Optional[Path]:
+        """A shortest path of at most k states from an initial state to a
+        target state or, with violations, to a state violating a property;
+        ties go to the first state discovered. None when there is none."""
+        with self._lock:
+            n = self._grow(k)
+            index, bound = self._index, self._ends[n - 1]
+            found = [(index[t], t) for t in targets if index.get(t, bound) < bound]
+            if violations:
+                while self._bad is None and self._scanned < n:
+                    layer = self.layers[self._scanned]
+                    self._scanned += 1
+                    self._bad = next(filter(_violating(self._ex()), layer), None)
+                if self._bad is not None and index[self._bad] < bound:
+                    found.append((index[self._bad], self._bad))
+            if not found:
+                return None
+            number, hit = min(found)
+            depth = bisect_right(self._ends, number)
+            if depth == 0:
+                return [hit], []
+            return _rebuild(self._ex(), hit, self.layers[:depth])
+
+
+class _ExactChain(_Chain):
+    """Paths of exactly k states: each layer keeps every state reached at
+    its depth, and the goal is tested only at depth k, among the states
+    that last_rows (which may leave out states that cannot be goals, but
+    keeps each row's order) offers from layer k - 1. For fixed roots and
+    goal the answer at each depth is a fact of the system, so it is kept
+    per depth, as a path of tuples. A one-state path is the first goal
+    among singles."""
+
+    __slots__ = ("_last_rows", "_goal", "_singles", "_paths")
+
+    def __init__(
+        self,
+        ex: SystemExecutor,
+        roots: Callable[[SystemExecutor], Iterable[tuple]],
+        rows: Mapping[tuple, tuple[tuple, ...]],
+        last_rows: Mapping[tuple, tuple[tuple, ...]],
+        goal: Callable[[SystemExecutor], Callable[[tuple], bool]],
+        singles: Callable[[SystemExecutor], Iterable[tuple]],
+    ) -> None:
+        super().__init__(ex, roots, rows)
+        self._last_rows = last_rows
+        self._goal = goal
+        self._singles = singles
+        self._paths: dict[int, Optional[tuple[tuple, tuple]]] = {}
+
+    def path(self, k: int) -> Optional[Path]:
+        """The first path of exactly k states from a root to a goal, or
+        None."""
+        with self._lock:
+            if k not in self._paths:
+                self._paths[k] = self._find(k)
+            hit = self._paths[k]
+        return None if hit is None else (list(hit[0]), list(hit[1]))
+
+    def _find(self, k: int) -> Optional[tuple[tuple, tuple]]:
+        ex = self._ex()
+        goal = self._goal(ex)
+        if k == 1:
+            hit = next(filter(goal, self._singles(ex)), None)
+            return None if hit is None else ((hit,), ())
+        if self._grow(k - 1) < k - 1 or not self.layers[k - 2]:
             return None
-        if exact and depth == k:
-            goals = rows if last_rows is None else last_rows
-            step = chain.from_iterable(map(goals.__getitem__, layer))
-            hit = next(filter(goal, step), None)
-            return None if hit is None else _rebuild(ex, hit, layers)
-        step = chain.from_iterable(map(rows.__getitem__, layer))
-        if exact:
-            layer = dict.fromkeys(step)
-        else:
-            layer = dict.fromkeys(filterfalse(seen.__contains__, step))
-            hit = next(filter(goal, layer), None)
-            if hit is not None:
-                return _rebuild(ex, hit, layers)
-            seen.update(layer)
-        layers.append(layer)
-    return None
+        step = chain.from_iterable(map(self._last_rows.__getitem__, self.layers[k - 2]))
+        hit = next(filter(goal, step), None)
+        if hit is None:
+            return None
+        states, inputs = _rebuild(ex, hit, self.layers[: k - 1])
+        return tuple(states), tuple(inputs)
 
 
 def _rebuild(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 from .errors import InternalError, SortError, ValidationError
@@ -342,6 +343,8 @@ class TransitionSystem:
 
     A system is validated when it is built: constructing an ill-formed one
     raises ValidationError or SortError, so every instance is well-formed.
+    The variable lists and bit counts are computed once, on first read;
+    equality and hashing use the fields alone.
     """
 
     vars: tuple[VarDecl, ...]
@@ -354,19 +357,19 @@ class TransitionSystem:
     def __post_init__(self) -> None:
         self.validate()
 
-    @property
+    @cached_property
     def state_vars(self) -> tuple[VarDecl, ...]:
         return tuple(v for v in self.vars if v.role is VarRole.STATE)
 
-    @property
+    @cached_property
     def input_vars(self) -> tuple[VarDecl, ...]:
         return tuple(v for v in self.vars if v.role is VarRole.INPUT)
 
-    @property
+    @cached_property
     def state_bits(self) -> int:
         return sum(v.sort.bits for v in self.state_vars)
 
-    @property
+    @cached_property
     def input_bits(self) -> int:
         return sum(v.sort.bits for v in self.input_vars)
 

@@ -4,9 +4,9 @@ A plain breadth-first search over concrete states, usable as a reference
 answer for anything the engine claims on systems small enough to explore
 outright. Shares only the compiled executor with the rest of the package;
 no unrolling, no solver, no induction. It keeps its own search loop rather
-than calling concrete.find_path, which the enum backend uses: a fault in
-that search then shows up as a disagreement with the oracle instead of
-being repeated on both sides.
+than using the executor's search chains, which the enum backend answers
+from: a fault in that search then shows up as a disagreement with the
+oracle instead of being repeated on both sides.
 
 The executor enumerates whatever it is given, so the oracle refuses a
 system over its bit caps before building one: DEFAULT_STATE_BIT_CAP state

@@ -6,19 +6,21 @@ Two backends:
             SystemExecutor of the query's system. It answers from the
             query's question (kind, k, system, targets) and reads the
             formula only to re-check a satisfying model. Every query kind
-            is one call to the breadth-first path search
-            concrete.find_path over the executor's per-state rows: base
-            cases look for a shortest initial path to a violation or a
-            target, the forward condition for an initial path of exactly k
-            states that ends in a non-halting state, and the inductive step
-            for a path of exactly k states from a good state, through good
-            states, to a violation. The executor is held in an
-            ir.per_system slot, so every session that queries the same
-            system object, such as the two engines of a `compare`, shares
-            its rows. Systems whose state and input bits per step exceed
-            ENUM_BIT_CAP get no executor: they fall back to plain
-            enumeration of the unrolled variables when those fit within the
-            same cap, otherwise the result is unknown.
+            is a lookup on one of the executor's search chains
+            (concrete.py): base cases take a shortest initial path to a
+            violation or a target, the forward condition an initial path of
+            exactly k states that ends in a non-halting state, and the
+            inductive step a path of exactly k states from a good state,
+            through good states, to a violation. Chains keep their layers,
+            so each query grows them by at most the layers no earlier query
+            needed, and the exact chains keep their answer per depth. The
+            executor is held in an ir.per_system slot, so every session
+            that queries the same system object, such as the two engines of
+            a `compare`, shares its rows, layers and answers. Systems
+            whose state and input bits per step exceed ENUM_BIT_CAP get no
+            executor: they fall back to plain enumeration of the unrolled
+            variables when those fit within the same cap, otherwise the
+            result is unknown.
 
   external  a one-shot SMT-LIB 2 process: the serialized query on stdin,
             sat/unsat/unknown plus a get-value response on stdout. Output
@@ -42,7 +44,7 @@ from enum import Enum
 from itertools import product
 from typing import Optional, Sequence
 
-from .concrete import SystemExecutor, _domain, find_path
+from .concrete import Path, SystemExecutor, _domain
 from .encoder import Marker, Query, QueryKind, serialize_smtlib
 from .errors import ConfigError, InternalError, ParseError, ProtocolError
 from .frontend import _read
@@ -129,36 +131,15 @@ class Solver:
         return SolverVerdict(SolverStatus.SAT, _assemble_model(q, ex, *path))
 
 
-def _search(ex: SystemExecutor, q: Query) -> Optional[tuple[list[tuple], list[tuple]]]:
+def _search(ex: SystemExecutor, q: Query) -> Optional[Path]:
     """The concrete path that answers q, or None when there is none."""
-    violated = ex.violated_prop
     if q.kind in (QueryKind.BASE, QueryKind.EXTENDED_BASE):
         targets = {ex.state_tuple(t.first_state) for t in q.targets}
-        props = q.include_violations
-        return find_path(
-            ex,
-            ex.next_rows,
-            ex.initial_states(),
-            q.k,
-            lambda s: s in targets or (props and violated(s) is not None),
-        )
+        return ex.reach.path(q.k, targets, q.include_violations)
     if q.kind is QueryKind.FORWARD:
-        halt = ex.halt_fn
-        return find_path(
-            ex, ex.next_rows, ex.initial_states(), q.k, lambda s: not halt(s), exact=True
-        )
+        return ex.forward.path(q.k)
     if q.kind is QueryKind.INDUCTIVE:
-        # a path of k > 1 states starts at a good state; at k = 1 it is a
-        # single bad state
-        return find_path(
-            ex,
-            ex.good_rows,
-            ex.good_states() if q.k > 1 else ex.all_states(),
-            q.k,
-            lambda s: violated(s) is not None,
-            exact=True,
-            last_rows=ex.bad_rows,
-        )
+        return ex.inductive.path(q.k)
     raise InternalError(f"no search for query kind {q.kind}")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from itertools import product
 from sys import getswitchinterval, setswitchinterval
 
@@ -282,6 +283,19 @@ def _sys(vars=None, init=None, trans=None, props=None, halt=None):
 
 def test_validate_ok():
     _sys().validate()
+
+
+def test_variable_lists_are_computed_once_and_not_compared():
+    u = VarDecl("u", BOOL, VarRole.INPUT)
+    a, b = _sys(vars=(VarDecl("x", bitvec(2), VarRole.STATE), u)), _sys()
+    assert a.state_vars is a.state_vars and a.input_vars is a.input_vars
+    assert (a.state_bits, a.input_bits) == (2, 1)
+    assert [v.name for v in a.input_vars] == ["u"]
+    # b has read its lists, c has not: equality and hashing see fields only
+    b.state_bits, b.input_bits
+    c = _sys()
+    assert b == c and hash(b) == hash(c)
+    assert replace(b, name="other") == c
 
 
 def test_validate_accepts_nesting_at_the_bound():

@@ -7,10 +7,21 @@ link per state. `reference_search` maps a query onto it as the backend did.
 On the fixed families and on 800 random systems, for every query shape at
 k = 1..8, `solver._search` must return the very same path: states and
 inputs, not just the same length.
+
+The executor keeps its search layers, and exact searches their answers,
+from one query to the next, so the later tests ask in other orders, on
+interleaved systems and from several threads, and check that an executor
+is freed with its slot.
 """
 
 from __future__ import annotations
 
+import gc
+import random
+import threading
+import weakref
+from dataclasses import replace
+from sys import getswitchinterval, setswitchinterval
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import pytest
@@ -26,8 +37,9 @@ from kindmc.encoder import (
     encode_forward_condition,
     encode_inductive_step,
 )
+from kindmc.engine import VerificationReport, run_extended, run_plain
 from kindmc.ir import Trace
-from kindmc.solver import _search
+from kindmc.solver import Solver, SolverConfig, _executor, _search
 
 from randsys import corpus
 from systems import (
@@ -214,3 +226,90 @@ def test_rows_are_filled_once_and_reused(k):
         after = getattr(ex, name)
         assert after.keys() == before.keys()
         assert all(after[s] is row for s, row in before.items())
+
+
+# ---------------------------------------------------------------------------
+# Held layers and answers
+
+
+def _asked(order: str, seed: int) -> list[int]:
+    """The depths asked of one executor, in the given order."""
+    if order == "descending":
+        return list(range(8, 0, -1))
+    if order == "shuffled":
+        ks = list(range(1, 9))
+        random.Random(seed).shuffle(ks)
+        return ks
+    return [k for k in range(1, 9) for _ in range(2)]
+
+
+@pytest.mark.parametrize("order", ["descending", "shuffled", "twice"])
+def test_paths_do_not_depend_on_the_order_of_queries(order):
+    systems = FIXED + corpus(seed=20261018, n=200, max_state_bits=8)
+    for i, sys in enumerate(systems):
+        ex, ref = SystemExecutor(sys), SystemExecutor(sys)
+        for k in _asked(order, i):
+            for q in _queries(ex, k):
+                assert _search(ex, q) == reference_search(ref, q), (sys.name, q.kind, k)
+
+
+def test_interleaved_systems_get_their_own_answers():
+    a, b = frontend.diamond_parity(9), frontend.const_check(12)
+    refs = {id(a): SystemExecutor(a), id(b): SystemExecutor(b)}
+    for k in range(1, 9):
+        for qa, qb in zip(_queries(_executor(a), k), _queries(_executor(b), k)):
+            for q in (qa, qb, qa):
+                want = reference_search(refs[id(q.system)], q)
+                assert _search(_executor(q.system), q) == want, (q.system.name, q.kind, k)
+
+
+def test_an_executor_is_freed_when_its_slot_moves():
+    a, b = frontend.diamond_parity(9), saturating()
+    solver = Solver(SolverConfig())
+    collecting = gc.isenabled()
+    gc.disable()  # only reference counting may free it
+    try:
+        for k in range(1, 6):
+            for q in _queries(_executor(a), k):
+                solver.check(q)
+        held = weakref.ref(_executor(a))
+        assert held().reach.layers and held().inductive.layers
+        solver.check(encode_base_case(b, 2))
+        assert held() is None
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _untimed(r: VerificationReport) -> VerificationReport:
+    iterations = tuple(
+        replace(it, checks=tuple(replace(c, time_ms=0.0) for c in it.checks))
+        for it in r.iterations
+    )
+    return replace(r, iterations=iterations, wall_ms=0.0)
+
+
+@pytest.mark.parametrize("make", [lambda: frontend.chain_bug(30), lambda: frontend.const_check(20)])
+def test_threads_running_both_engines_on_one_system_agree(make):
+    # each round starts on a new system object, so the threads race to
+    # build its executor and grow the same chains
+    runs = (run_plain, run_extended, run_extended, run_plain)
+    want = [_untimed(run(make())) for run in runs]
+    old = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            sys, got = make(), [None] * len(runs)
+
+            def work(i):
+                got[i] = _untimed(runs[i](sys))
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(runs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == want
+    finally:
+        setswitchinterval(old)

@@ -193,7 +193,7 @@ def test_enum_builds_a_formula_only_for_sat_answers(sys):
 
 def test_enum_model_that_fails_the_recheck_raises(monkeypatch):
     # x=0 violates nothing, so this "path" cannot satisfy the base case
-    monkeypatch.setattr(solver_mod, "find_path", lambda *args, **kwargs: ([(0,)], []))
+    monkeypatch.setattr(solver_mod, "_search", lambda ex, q: ([(0,)], []))
     with pytest.raises(InternalError, match="model fails re-check for base k=2"):
         Solver(SolverConfig()).check(encode_base_case(chain_bug(5), 2))
 
