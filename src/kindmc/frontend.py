@@ -10,13 +10,17 @@ The input format is a single s-expression:
       (prop p1 (not (= x 5)))
       (halt false))
 
-`;` starts a comment running to end of line. Sections may appear in any
-order; var/input/prop repeat, init/trans/halt appear exactly once. Decimal
-integer literals take their width from context (the other operand or the
-expected sort); where no context exists that is a width-ambiguity error.
-Sized literals #b0101 / #x1f carry their own width. Identifiers match
-[A-Za-z_][A-Za-z0-9_]* (so '@' can never appear; the encoder uses it for
-timed variable names).
+Whitespace is space, tab, CR and LF; any other character, a form feed or
+a no-break space too, belongs to an atom. `;` starts a comment that runs to
+the next LF or to the end of the input. Error positions count lines by LF
+and columns by character, so a tab or a CR is one column.
+
+Sections may appear in any order; var/input/prop repeat, init/trans/halt
+appear exactly once. Decimal integer literals take their width from
+context (the other operand or the expected sort); where no context exists
+that is a width-ambiguity error. Sized literals #b0101 / #x1f carry their
+own width. Identifiers match [A-Za-z_][A-Za-z0-9_]* (so '@' can never
+appear; the encoder uses it for timed variable names).
 """
 
 from __future__ import annotations
@@ -58,77 +62,42 @@ class SNode:
         return self.text is not None
 
 
-_ATOM_END = set("() \t\r\n;")
-
-
-def _tokenize(src: str) -> list[tuple[str, int, int]]:
-    toks: list[tuple[str, int, int]] = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and src[i] != "\n":
-                i += 1
-        elif ch in "()":
-            toks.append((ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            scol = col
-            while i < n and src[i] not in _ATOM_END:
-                i += 1
-                col += 1
-            toks.append((src[start:i], line, scol))
-    return toks
+# A line feed (counted for positions), a comment, an atom or a paren;
+# finditer skips the spaces, tabs and CRs between them.
+_TOKEN = re.compile(r"\n|;[^\n]*|[^() \t\r\n;]+|[()]")
 
 
 def _read(src: str) -> list[SNode]:
     """S-expressions at most MAX_NESTING deep, so no recursive pass overruns the stack."""
-    toks = _tokenize(src)
-    pos = 0
-
-    def read_one(depth: int) -> SNode:
-        nonlocal pos
-        if pos >= len(toks):
-            raise ParseError("unexpected end of input", *_last_pos(toks))
-        text, line, col = toks[pos]
-        pos += 1
-        if text == "(":
-            if depth == MAX_NESTING:
-                raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", line, col)
-            items: list[SNode] = []
-            while True:
-                if pos >= len(toks):
-                    raise ParseError("unclosed '('", line, col)
-                if toks[pos][0] == ")":
-                    pos += 1
-                    return SNode(line, col, items=items)
-                items.append(read_one(depth + 1))
-        if text == ")":
-            raise ParseError("unexpected ')'", line, col)
-        return SNode(line, col, text=text)
-
     forms: list[SNode] = []
-    while pos < len(toks):
-        forms.append(read_one(0))
+    open_lists: list[SNode] = []
+    items = forms
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        tok = m.group()
+        if tok == "\n":
+            line, line_start = line + 1, m.end()
+            continue
+        if tok[0] == ";":
+            continue
+        col = m.start() - line_start + 1
+        if tok == "(":
+            if len(open_lists) == MAX_NESTING:
+                raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", line, col)
+            node = SNode(line, col, items=[])
+            items.append(node)
+            open_lists.append(node)
+            items = node.items
+        elif tok == ")":
+            if not open_lists:
+                raise ParseError("unexpected ')'", line, col)
+            open_lists.pop()
+            items = open_lists[-1].items if open_lists else forms
+        else:
+            items.append(SNode(line, col, text=tok))
+    if open_lists:
+        raise ParseError("unclosed '('", open_lists[-1].line, open_lists[-1].col)
     return forms
-
-
-def _last_pos(toks: list[tuple[str, int, int]]) -> tuple[int, int]:
-    if not toks:
-        return 1, 1
-    _, line, col = toks[-1]
-    return line, col
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +108,12 @@ _HEX_RE = re.compile(r"#x[0-9a-fA-F]+\Z")
 _BIN_RE = re.compile(r"#b[01]+\Z")
 
 
-class _AmbiguousLiteral(Exception):
+class _AmbiguousLiteral(ParseError):
+    """A decimal literal with no sort to take its width from. An operand pair
+    catches it to try the sibling's sort; anywhere else it is the error."""
+
     def __init__(self, node: SNode) -> None:
-        self.node = node
+        super().__init__("cannot infer bit-vector width for literal", node.line, node.col)
 
 
 @dataclass
@@ -242,12 +214,9 @@ def _elab(node: SNode, env: _Env, expected: Optional[Sort]) -> Expr:
     op = items[0].text or ""
     args = items[1:]
 
-    def arity(n: int) -> None:
-        if len(args) != n:
-            raise ParseError(f"{op} takes {n} operand(s), got {len(args)}", node.line, node.col)
-
     if op == "next":
-        arity(1)
+        if len(args) != 1:
+            raise ParseError(f"next takes 1 operand(s), got {len(args)}", node.line, node.col)
         ref = args[0]
         if not ref.is_atom:
             raise ParseError("next takes a state variable name", ref.line, ref.col)
@@ -259,84 +228,68 @@ def _elab(node: SNode, env: _Env, expected: Optional[Sort]) -> Expr:
                 f"next({name}) does not name a state variable", ref.line, ref.col
             )
         return _expect_sort(ir.next_var(name, env.state[name]), expected, node)
-    if op == "not":
-        arity(1)
-        return _expect_sort(ir.not_(_elab(args[0], env, BOOL)), expected, node)
-    if op in ("and", "or"):
-        if len(args) < 2:
-            raise ParseError(f"{op} takes at least two operands", node.line, node.col)
-        parts = tuple(_elab(a, env, BOOL) for a in args)
-        built = ir.and_(*parts) if op == "and" else ir.or_(*parts)
-        return _expect_sort(built, expected, node)
-    if op in ("implies", "iff"):
-        arity(2)
-        ea, eb = (_elab(a, env, BOOL) for a in args)
-        built = ir.implies(ea, eb) if op == "implies" else ir.iff(ea, eb)
-        return _expect_sort(built, expected, node)
-    if op == "ite":
-        arity(3)
-        c = _elab(args[0], env, BOOL)
-        t, e = _elab_pair(args[1], args[2], env, expected)
-        return _expect_sort(ir.ite(c, t, e), expected, node)
-    if op == "=":
-        arity(2)
-        ea, eb = _elab_pair(args[0], args[1], env, None)
-        return _expect_sort(ir.eq(ea, eb), expected, node)
-    if op == "bvnot":
-        arity(1)
-        hint = expected if expected is not None and not expected.is_bool else None
-        try:
-            inner = _elab(args[0], env, hint)
-        except _AmbiguousLiteral:
-            raise ParseError(
-                "cannot infer bit-vector width for literal", args[0].line, args[0].col
-            ) from None
-        if inner.sort.is_bool:
-            raise ParseError(
-                f"sort error: operand of bvnot has sort bool", args[0].line, args[0].col
-            )
-        return _expect_sort(ir.bvnot(inner), expected, node)
-    if op in ("bvadd", "bvsub", "bvmul", "bvand", "bvor", "bvxor"):
-        arity(2)
-        hint = expected if expected is not None and not expected.is_bool else None
-        try:
-            ea, eb = _elab_pair(args[0], args[1], env, hint)
-        except _AmbiguousLiteral as exc:
-            raise ParseError(
-                "cannot infer bit-vector width for literal", exc.node.line, exc.node.col
-            ) from None
-        if ea.sort.is_bool:
-            raise ParseError(
-                f"sort error: operand of {op} has sort bool, expected a bit-vector",
-                args[0].line,
-                args[0].col,
-            )
-        return _expect_sort(Expr(op, ea.sort, (ea, eb)), expected, node)
-    if op in ("bvule", "bvult", "bvuge", "bvugt"):
-        arity(2)
-        try:
-            ea, eb = _elab_pair(args[0], args[1], env, None)
-        except _AmbiguousLiteral as exc:
-            raise ParseError(
-                "cannot infer bit-vector width for literal", exc.node.line, exc.node.col
-            ) from None
-        if ea.sort.is_bool:
-            raise ParseError(
-                f"sort error: operand of {op} has sort bool, expected a bit-vector",
-                args[0].line,
-                args[0].col,
-            )
-        return _expect_sort(Expr(op, BOOL, (ea, eb)), expected, node)
-    raise ParseError(f"unknown operator {op!r}", node.line, node.col)
+    if op not in _OPERATORS:
+        raise ParseError(f"unknown operator {op!r}", node.line, node.col)
+    count, kind, build = _OPERATORS[op]
+    if count == 0 and len(args) < 2:
+        raise ParseError(f"{op} takes at least two operands", node.line, node.col)
+    if count and len(args) != count:
+        raise ParseError(f"{op} takes {count} operand(s), got {len(args)}", node.line, node.col)
+    return _expect_sort(build(*_operands(kind, op, args, env, expected)), expected, node)
 
 
-def _elab_toplevel_literal(node: SNode, env: _Env, expected: Sort) -> Expr:
+def _operands(
+    kind: str, op: str, args: list[SNode], env: _Env, expected: Optional[Sort]
+) -> list[Expr]:
+    """Elaborate an operator's operands, left to right, as its kind says."""
+    if kind == "bool":
+        return [_elab(a, env, BOOL) for a in args]
+    if kind == "same":
+        return list(_elab_pair(args[0], args[1], env, None))
+    if kind == "ite":  # the branches have the sort expected of the whole
+        return [_elab(args[0], env, BOOL), *_elab_pair(args[1], args[2], env, expected)]
+    # bit-vectors: "bv" operands have the sort expected of the whole, "cmp" ones no hint
+    hint = expected if kind == "bv" and expected is not None and not expected.is_bool else None
+    first = args[0]
     try:
-        return _elab(node, env, expected)
+        if len(args) == 1:
+            parts = [_elab(first, env, hint)]
+        else:
+            parts = list(_elab_pair(first, args[1], env, hint))
     except _AmbiguousLiteral as exc:
+        # a plain ParseError, so no enclosing pair retries with a sibling's sort
+        line, col = (first.line, first.col) if len(args) == 1 else (exc.line, exc.col)
+        raise ParseError(exc.message, line, col) from None
+    if parts[0].sort.is_bool:
+        expected_bv = "" if len(args) == 1 else ", expected a bit-vector"
         raise ParseError(
-            "cannot infer bit-vector width for literal", exc.node.line, exc.node.col
-        ) from None
+            f"sort error: operand of {op} has sort bool{expected_bv}", first.line, first.col
+        )
+    return parts
+
+
+# op -> (operand count, 0 for two or more; how the operands elaborate; the
+# ir constructor, which the elaborated operands always satisfy)
+_OPERATORS = {
+    "not": (1, "bool", ir.not_),
+    "and": (0, "bool", ir.and_),
+    "or": (0, "bool", ir.or_),
+    "implies": (2, "bool", ir.implies),
+    "iff": (2, "bool", ir.iff),
+    "ite": (3, "ite", ir.ite),
+    "=": (2, "same", ir.eq),
+    "bvnot": (1, "bv", ir.bvnot),
+    "bvadd": (2, "bv", ir.bvadd),
+    "bvsub": (2, "bv", ir.bvsub),
+    "bvmul": (2, "bv", ir.bvmul),
+    "bvand": (2, "bv", ir.bvand),
+    "bvor": (2, "bv", ir.bvor),
+    "bvxor": (2, "bv", ir.bvxor),
+    "bvule": (2, "cmp", ir.bvule),
+    "bvult": (2, "cmp", ir.bvult),
+    "bvuge": (2, "cmp", ir.bvuge),
+    "bvugt": (2, "cmp", ir.bvugt),
+}
 
 
 _SINGLE_SECTIONS = ("init", "trans", "halt")
@@ -411,17 +364,11 @@ def parse(text: str, name: str = "system") -> TransitionSystem:
     state = {d.name: d.sort for d in decls if d.role is VarRole.STATE}
     inputs = {d.name: d.sort for d in decls if d.role is VarRole.INPUT}
 
-    init = _elab_toplevel_literal(
-        single["init"], _Env(state, inputs, False, False, "init"), BOOL
-    )
-    trans = _elab_toplevel_literal(
-        single["trans"], _Env(state, inputs, True, True, "trans"), BOOL
-    )
-    halt = _elab_toplevel_literal(
-        single["halt"], _Env(state, inputs, False, False, "halt"), BOOL
-    )
+    init = _elab(single["init"], _Env(state, inputs, False, False, "init"), BOOL)
+    trans = _elab(single["trans"], _Env(state, inputs, True, True, "trans"), BOOL)
+    halt = _elab(single["halt"], _Env(state, inputs, False, False, "halt"), BOOL)
     props = tuple(
-        Prop(pname, _elab_toplevel_literal(pnode, _Env(state, inputs, False, False, f"prop {pname}"), BOOL))
+        Prop(pname, _elab(pnode, _Env(state, inputs, False, False, f"prop {pname}"), BOOL))
         for pname, pnode in prop_nodes
     )
 

@@ -81,13 +81,6 @@ def bitvec(width: int) -> Sort:
 # computed by the constructor functions below; building through them is the
 # only supported path and guarantees well-sortedness by construction.
 
-_BOOL_NARY = ("and", "or")
-_BOOL_BIN = ("implies", "iff")
-_BV_BIN = ("bvadd", "bvsub", "bvmul", "bvand", "bvor", "bvxor")
-_BV_CMP = ("bvule", "bvult", "bvuge", "bvugt")
-
-OPERATORS = ("not",) + _BOOL_NARY + _BOOL_BIN + ("ite", "=", "bvnot") + _BV_BIN + _BV_CMP
-
 
 @dataclass(frozen=True)
 class Expr:

@@ -82,6 +82,19 @@ _ERRORS = [
      " (halt false))", "width must be 1..64, got 68", 1, 35),
     ("(system (var x (bv 3)) (init (= x #b" + "1" * 65 + ")) (trans true) (prop p true)"
      " (halt false))", "width must be 1..64, got 65", 1, 35),
+    # a tab and a CR are one column each; lines count LFs only
+    ("(system\t(tab x))", "unknown section 'tab'", 1, 9),
+    ("(system\r(cr x))", "unknown section 'cr'", 1, 9),
+    ("\n\n  (system\n\t(nl x))", "unknown section 'nl'", 4, 2),
+    # a form feed and a no-break space are not whitespace: they stay in an atom
+    ("(system (var x bool)\f(init x))", "expected a (var|input|init|trans|prop|halt ...) section",
+     1, 21),
+    ("(system (init\xa0x))", "unknown section 'init\\xa0x'", 1, 9),
+    # a comment may end the input without a newline
+    ("(system (cmt x)) ; )", "unknown section 'cmt'", 1, 9),
+    ("(system)\n  )", "2:3: unexpected ')'", 2, 3),
+    # an unclosed list is reported at its innermost open paren
+    ("(system\n  (var x (bv 3)", "unclosed '('", 2, 3),
 ]
 
 
@@ -127,6 +140,28 @@ _EXPR_ERRORS = [
     (_wrap(init="()"), "expected an operator application"),
     (_wrap(init="x", decls="(input c bool) (var x bool)", trans="(= (next x) x)", prop="x"),
      None),  # order of declarations does not matter
+    # which error wins: ite's condition before its branches, the left operand
+    # before the right, and every operand before the result sort
+    (_wrap(init="(ite cnd thn els)"), "undeclared variable 'cnd'"),
+    (_wrap(init="(and l1 r1)"), "undeclared variable 'l1'"),
+    (_wrap(init="(= l2 r2)"), "undeclared variable 'l2'"),
+    (_wrap(init="(= x (bvadd l3 r3))"), "undeclared variable 'l3'"),
+    (_wrap(init="(bvule l4 r4)"), "undeclared variable 'l4'"),
+    (_wrap(init="(= 1 r5)"), "undeclared variable 'r5'"),
+    (_wrap(trans="(bvule c r6)"), "undeclared variable 'r6'"),
+    (_wrap(init="(bvadd o7 1)"), "undeclared variable 'o7'"),
+    # arity before operand sorts
+    (_wrap(init="(not y z)"), "not takes 1 operand(s), got 2"),
+    (_wrap(init="(ite y z)"), "ite takes 3 operand(s), got 2"),
+    (_wrap(init="(or y)"), "or takes at least two operands"),
+    # next's own checks, in order: arity, a name, inside trans, a state variable
+    (_wrap(trans="(= (next x x) x)"), "next takes 1 operand(s), got 2"),
+    (_wrap(init="(= (next (x)) 0)"), "2:18: next takes a state variable name"),
+    (_wrap(init="(= (next y) 0)"), "next(y) outside trans"),
+    # where a bit-vector operand error is reported
+    (_wrap(trans="(bvnot c)"), "3:17: sort error: operand of bvnot has sort bool"),
+    (_wrap(trans="(bvule (bvnot (ite c 1 2)) x)"), "3:24: cannot infer bit-vector width"),
+    (_wrap(init="(bvule (bvadd 1 2) x)"), "2:25: cannot infer bit-vector width"),
 ]
 
 
@@ -195,6 +230,10 @@ def test_decimal_in_nested_context():
     # expected sort flows through ite branches
     sys = parse(_wrap(trans="(= (next x) (ite c 1 x))"))
     assert sys.trans.args[1].args[1] == ir.bv_const(1, 3)
+    # a right operand takes its width from the left one; the reverse order
+    # is rejected (see _EXPR_ERRORS)
+    sys = parse(_wrap(init="(bvule x (bvadd 1 2))"))
+    assert sys.init.args[1] == ir.bvadd(ir.bv_const(1, 3), ir.bv_const(2, 3))
 
 
 def test_bool_atoms():
