@@ -15,9 +15,15 @@ Bool orders as false < true.
 A SystemExecutor keeps per-state rows, each filled on its first lookup and
 then read by dict lookups alone: a state's distinct next states in
 discovery order, the good ones among them (those satisfying every
-property), and its first bad one. The good states themselves, in
-enumeration order, are computed once. So no edge is interpreted in Python
+property), and its first bad one. So no edge is interpreted in Python
 again after its first visit, however many queries walk it.
+
+The initial states and the good states are each computed once, in
+enumeration order, from the definitional conjuncts (= x e) of init and of
+the property conjunction: only the variables these leave free are
+enumerated, the defined ones are computed in dependency order, and every
+candidate is then tested against the whole formula. With no definitions,
+the product of the domains is filtered as it stands.
 
 Each executor also keeps three search chains, the one breadth-first path
 search behind the enum backend: shortest paths from the initial states
@@ -27,10 +33,12 @@ through good states, to a violation (the inductive step). A chain keeps
 its layers, each built from the rows of the one before, so a query at
 depth k adds at most the layers no earlier query needed: one per
 iteration of the engine, not k. The answer of an exact chain at each
-depth is a fact of the system and is kept too; the shortest-path chain
-numbers its states in discovery order and answers with the goal of least
-number. A path is rebuilt only once a goal is found, by taking each
-state's first predecessor in the previous layer. Ties go to the first
+depth is a fact of the system and is kept too, and so is the solver's
+checked model of it (`models`); the shortest-path chain numbers its
+states in discovery order and answers with the goal of least number. A
+layer maps each state to its first parent, the first state of the
+previous layer whose row holds it, so a path is rebuilt, once a goal is
+found, by following these links back to a root. Ties go to the first
 state discovered, so the enumeration order above fixes every witness.
 
 The executor enumerates whatever it is given: its callers bound the
@@ -56,6 +64,7 @@ from .ir import (
     TransitionSystem,
     Value,
     VarDecl,
+    conj,
     free_names,
     next_names,
 )
@@ -217,6 +226,9 @@ class SystemExecutor:
         self._good: Optional[tuple[tuple, ...]] = None
         self._good_set: frozenset[tuple] = frozenset()
         self._tuples: dict[State, tuple] = {}
+        # checked models of answers that are facts of the system, kept by
+        # the solver: (query kind, k) -> model
+        self.models: dict[tuple, dict[str, Value]] = {}
         self.next_rows = _Rows(self, SystemExecutor._next_row)
         self.good_rows = _Rows(self, SystemExecutor._good_row)
         self.bad_rows = _Rows(self, SystemExecutor._bad_row)
@@ -255,14 +267,16 @@ class SystemExecutor:
                 residual.append(c)
         return defs, residual
 
-    def _split_init(self) -> tuple[list[tuple[str, Expr]], list[str]]:
-        """Topologically ordered definitional init conjuncts and the names
-        left free (assigned by enumeration)."""
+    def _split_defs(self, e: Expr) -> tuple[list[tuple[str, Expr]], list[str]]:
+        """Topologically ordered definitional conjuncts (= x rhs) of e, and
+        the state names left free (assigned by enumeration)."""
         candidates: dict[str, Expr] = {}
-        for c in _flatten_and(self.system.init):
+        for c in _flatten_and(e):
             d = _as_definition(c, "var")
             if d is not None and d[0] in self._state_slots and d[0] not in candidates:
                 candidates[d[0]] = d[1]
+        if not candidates:
+            return [], list(self.state_names)
         # a dependency is resolvable once defined, or immediately if it can
         # never be defined (then enumeration assigns it before any defs run)
         never_defined = set(self.state_names) - candidates.keys()
@@ -283,30 +297,37 @@ class SystemExecutor:
 
     # -- enumeration
 
-    def initial_states(self) -> tuple[tuple, ...]:
-        """All states satisfying init, in ascending declaration order. The
-        definitional conjuncts of init fix some variables from the others, so
-        only the rest are enumerated; each candidate is then checked against
-        the whole of init."""
-        if self._initial is not None:
-            return self._initial
-        defs, free = self._split_init()
+    def _solutions(self, e: Expr, tests: Iterable[EvalFn]) -> tuple[tuple, ...]:
+        """The states that pass every test, in ascending declaration order,
+        where the tests together mean e. The definitional conjuncts of e fix
+        some variables from the others, so only the rest are enumerated and
+        the tests check each candidate against the whole of e. With nothing
+        defined, the product is ascending already."""
+        defs, free = self._split_defs(e)
+        states = self._candidates(defs, free) if defs else self.all_states()
+        for test in tests:
+            states = filter(test, states)
+        return tuple(sorted(states)) if defs else tuple(states)
+
+    def _candidates(self, defs: list[tuple[str, Expr]], free: list[str]) -> Iterator[tuple]:
+        """One state per valuation of the free names, the defined ones
+        computed from it."""
         free_idx = [self._state_slots[n] for n in free]
-        domains = [self._state_domains[i] for i in free_idx]
         def_fns = [(self._state_slots[n], compile_expr(rhs, self._state_slots)) for n, rhs in defs]
-        init_fn = compile_expr(self.system.init, self._state_slots)
-        found: list[tuple] = []
         scratch: list[Value] = [d[0] for d in self._state_domains]
-        for combo in product(*domains) if domains else (tuple(),):
+        for combo in product(*(self._state_domains[i] for i in free_idx)):
             for pos, v in zip(free_idx, combo):
                 scratch[pos] = v
             # definitions may depend on each other; run in topological order
             for pos, fn in def_fns:
                 scratch[pos] = fn(scratch)
-            if init_fn(scratch):
-                found.append(tuple(scratch))
-        found.sort()
-        self._initial = tuple(found)
+            yield tuple(scratch)
+
+    def initial_states(self) -> tuple[tuple, ...]:
+        """All states satisfying init, in ascending declaration order."""
+        if self._initial is None:
+            init = self.system.init
+            self._initial = self._solutions(init, (compile_expr(init, self._state_slots),))
         return self._initial
 
     def successors(self, s: tuple) -> tuple[tuple[tuple, tuple], ...]:
@@ -338,7 +359,8 @@ class SystemExecutor:
     def good_states(self) -> tuple[tuple, ...]:
         """Every state that satisfies all properties, in ascending order."""
         if self._good is None:
-            good = tuple(s for s in self.all_states() if self.violated_prop(s) is None)
+            props = conj([p.expr for p in self.system.props])
+            good = self._solutions(props, (fn for _, fn in self.prop_fns))
             self._good_set = frozenset(good)
             self._good = good
         return self._good
@@ -415,6 +437,7 @@ class _Rows(dict):
 # Layered search chains
 
 Path = tuple[list[tuple], list[tuple]]
+Layer = dict[tuple, Optional[tuple]]  # state -> first parent, None at a root
 
 
 def _violating(ex: SystemExecutor) -> Callable[[tuple], bool]:
@@ -431,8 +454,9 @@ class _Chain:
     """Breadth-first layers from fixed roots, kept and grown one layer at a
     time: a query at depth k adds only the layers up to k that no earlier
     query needed. Layer j holds the states at depth j in discovery
-    order, each expanded into rows[state]. Growth stops at the first empty
-    layer.
+    order, each expanded into rows[state], and maps each state to its
+    first parent: the first state of layer j - 1 whose row holds it (None
+    at a root). Growth stops at the first empty layer.
 
     The executor is held weakly, as by _Rows. Queries on one chain hold its
     lock, so sessions in several threads grow it once and read the same
@@ -449,7 +473,7 @@ class _Chain:
         self._ex = weakref.ref(ex)
         self._roots = roots
         self._rows = rows
-        self.layers: list[dict[tuple, None]] = []
+        self.layers: list[Layer] = []
         self._lock = threading.Lock()
 
     def _grow(self, n: int) -> int:
@@ -459,13 +483,21 @@ class _Chain:
         if not layers:
             self._add(dict.fromkeys(self._roots(self._ex())))
         while len(layers) < n and layers[-1]:
-            self._add(self._step(chain.from_iterable(map(self._rows.__getitem__, layers[-1]))))
+            self._add(self._step(layers[-1]))
         return min(n, len(layers))
 
-    def _step(self, step: Iterator[tuple]) -> dict[tuple, None]:
-        return dict.fromkeys(step)
+    def _step(self, layer: Layer) -> Layer:
+        """The states the rows of layer offer, in discovery order, each
+        mapped to its first parent. Writing the links in reverse leaves
+        each state's first one."""
+        rows = list(map(self._rows.__getitem__, layer))
+        children = list(chain.from_iterable(rows))
+        parents = chain.from_iterable(map(repeat, reversed(layer), map(len, reversed(rows))))
+        step = dict.fromkeys(children)
+        step.update(zip(reversed(children), parents))
+        return step
 
-    def _add(self, layer: dict[tuple, None]) -> None:
+    def _add(self, layer: Layer) -> None:
         self.layers.append(layer)
 
 
@@ -485,10 +517,13 @@ class _ReachChain(_Chain):
         self._scanned = 0  # layers searched for a violation so far
         self._bad: Optional[tuple] = None  # the first violating state found
 
-    def _step(self, step: Iterator[tuple]) -> dict[tuple, None]:
-        return dict.fromkeys(filterfalse(self._index.__contains__, step))
+    def _step(self, layer: Layer) -> Layer:
+        """The next layer without the states an earlier one numbered."""
+        step = super()._step(layer)
+        fresh = list(filterfalse(self._index.__contains__, step))
+        return dict(zip(fresh, map(step.__getitem__, fresh)))
 
-    def _add(self, layer: dict[tuple, None]) -> None:
+    def _add(self, layer: Layer) -> None:
         index = self._index
         index.update(zip(layer, count(len(index))))
         self._ends.append(len(index))
@@ -513,9 +548,7 @@ class _ReachChain(_Chain):
                 return None
             number, hit = min(found)
             depth = bisect_right(self._ends, number)
-            if depth == 0:
-                return [hit], []
-            return _rebuild(self._ex(), hit, self.layers[:depth])
+            return _rebuild(self._ex(), hit, self.layers[depth][hit], self.layers[:depth])
 
 
 class _ExactChain(_Chain):
@@ -561,29 +594,29 @@ class _ExactChain(_Chain):
             return None if hit is None else ((hit,), ())
         if self._grow(k - 1) < k - 1 or not self.layers[k - 2]:
             return None
-        step = chain.from_iterable(map(self._last_rows.__getitem__, self.layers[k - 2]))
-        hit = next(filter(goal, step), None)
+        layer, row = self.layers[k - 2], self._last_rows.__getitem__
+        hit = next(filter(goal, chain.from_iterable(map(row, layer))), None)
         if hit is None:
             return None
-        states, inputs = _rebuild(ex, hit, self.layers[: k - 1])
+        # its first parent: a second scan of filled rows, at C speed
+        parent = next(compress(layer, map(contains, map(row, layer), repeat(hit))))
+        states, inputs = _rebuild(ex, hit, parent, self.layers[: k - 1])
         return tuple(states), tuple(inputs)
 
 
 def _rebuild(
-    ex: SystemExecutor, state: tuple, layers: Sequence[Iterable[tuple]]
+    ex: SystemExecutor, state: tuple, parent: Optional[tuple], layers: Sequence[Layer]
 ) -> tuple[list[tuple], list[tuple]]:
-    """The path ending at state, one step past the last layer: at each
-    layer, the first state with the next path state among its successors,
-    and the first input leading there. That is the edge the search
-    discovered the state by."""
+    """The path ending at state, whose first parent, in the last of layers,
+    is parent: each step follows the first-parent links back to a root, and
+    takes the first input leading along it. That is the edge the search
+    discovered each state by."""
     states = [state]
     inputs: list[tuple] = []
     for layer in reversed(layers):
-        hits = map(contains, map(ex.next_rows.__getitem__, layer), repeat(state))
-        prev = next(compress(layer, hits))
-        inputs.append(next(u for u, ns in ex.successors(prev) if ns == state))
-        states.append(prev)
-        state = prev
+        inputs.append(next(u for u, ns in ex.successors(parent) if ns == state))
+        states.append(parent)
+        state, parent = parent, layer[parent]
     states.reverse()
     inputs.reverse()
     return states, inputs

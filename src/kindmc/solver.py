@@ -13,10 +13,13 @@ Two backends:
             inductive step a path of exactly k states from a good state,
             through good states, to a violation. Chains keep their layers,
             so each query grows them by at most the layers no earlier query
-            needed, and the exact chains keep their answer per depth. The
-            executor is held in an ir.per_system slot, so every session
-            that queries the same system object, such as the two engines of
-            a `compare`, shares its rows, layers and answers. Systems
+            needed, and the exact chains keep their answer per depth. A
+            forward or inductive formula depends on the system and k alone,
+            so its model, once assembled and re-checked, is kept on the
+            executor too, and each caller gets a copy. The executor is held
+            in an ir.per_system slot, so every session that queries the
+            same system object, such as the two engines of a `compare`,
+            shares its rows, layers, answers and checked models. Systems
             whose state and input bits per step exceed ENUM_BIT_CAP get no
             executor: they fall back to plain enumeration of the unrolled
             variables when those fit within the same cap, otherwise the
@@ -29,9 +32,10 @@ Two backends:
 
 Every satisfiable answer carries a full model (timed variables plus the
 auxiliary booleans), and the model is re-checked against the query's full
-formula before it is returned. For the built-in backend a failed
-re-check is a bug and raises; for an external process it downgrades the
-answer to unknown.
+formula before it is returned: for a kept model, against the equal formula
+of the query that first found it. For the built-in backend a failed
+re-check is a bug and raises, and the model is not kept; for an external
+process it downgrades the answer to unknown.
 """
 
 from __future__ import annotations
@@ -109,6 +113,9 @@ def resolve_config(solver_arg: Optional[str] = None, timeout_ms: int = 0) -> Sol
 # wrapper put here sees every build.
 _executor = per_system(lambda sys: SystemExecutor(sys))
 
+# Query kinds whose formula is fixed by the system and k alone.
+_EXACT = (QueryKind.FORWARD, QueryKind.INDUCTIVE)
+
 
 class Solver:
     """A checking session over one configuration."""
@@ -125,10 +132,17 @@ class Solver:
         if q.system.state_bits + q.system.input_bits > ENUM_BIT_CAP:
             return _naive_check(q)
         ex = _executor(q.system)
-        path = _search(ex, q)
-        if path is None:
-            return SolverVerdict(SolverStatus.UNSAT)
-        return SolverVerdict(SolverStatus.SAT, _assemble_model(q, ex, *path))
+        key = (q.kind, q.k)
+        model = ex.models.get(key)
+        if model is None:
+            path = _search(ex, q)
+            if path is None:
+                return SolverVerdict(SolverStatus.UNSAT)
+            model = _assemble_model(q, ex, *path)
+            # a checked model of such a formula is a fact of the system
+            if q.kind in _EXACT:
+                ex.models[key] = model
+        return SolverVerdict(SolverStatus.SAT, dict(model))
 
 
 def _search(ex: SystemExecutor, q: Query) -> Optional[Path]:

@@ -54,16 +54,32 @@ def _rand_expr(rng: random.Random, sort: Sort, leaves: list[Expr], depth: int) -
     return op(_rand_expr(rng, sort, leaves, depth - 1), _rand_expr(rng, sort, leaves, depth - 1))
 
 
+def _with_definitions(rng: random.Random, e: Expr, state: list[Expr]) -> Expr:
+    """e behind one or two definitional conjuncts (= v rhs) or (= rhs v).
+    A right-hand side mentions only other state variables, so chains,
+    two-variable cycles and variables defined twice all occur."""
+    parts = []
+    for _ in range(rng.randint(1, 2)):
+        v = rng.choice(state)
+        rhs = _rand_expr(rng, v.sort, [w for w in state if w is not v], 2)
+        parts.append(ir.eq(v, rhs) if rng.random() < 0.7 else ir.eq(rhs, v))
+    return ir.conj([*parts, e])
+
+
 def make_system(
     rng: random.Random,
     max_state_bits: int = 8,
     allow_input: bool = True,
     allow_residual: bool = True,
     name: str = "random",
+    definitional_props: bool = False,
 ) -> TransitionSystem:
     """One random system: mostly definitional transitions, occasional
     residual constraints (which can create deadlocks), constant or free
-    initial values, one or two random properties, halt fixed at false."""
+    initial values, one or two random properties, halt fixed at false.
+    With definitional_props, each property is given definitional conjuncts
+    half of the time; without it, the random numbers drawn are those drawn
+    before the option existed, so seeded corpora stay as they were."""
     decls: list[VarDecl] = []
     bits = 0
     n_state = rng.randint(1, 3)
@@ -111,6 +127,11 @@ def make_system(
     props = tuple(
         Prop(f"p{i}", _rand_expr(rng, BOOL, state, 2)) for i in range(rng.randint(1, 2))
     )
+    if definitional_props:
+        props = tuple(
+            Prop(p.name, _with_definitions(rng, p.expr, state)) if rng.random() < 0.5 else p
+            for p in props
+        )
 
     return TransitionSystem(tuple(decls), init, trans, props, ir.FALSE, name=name)
 
@@ -121,6 +142,7 @@ def corpus(
     max_state_bits: int = 8,
     allow_input: bool = True,
     allow_residual: bool = True,
+    definitional_props: bool = False,
 ) -> list[TransitionSystem]:
     rng = random.Random(seed)
     out: list[TransitionSystem] = []
@@ -133,6 +155,7 @@ def corpus(
                     allow_input=allow_input,
                     allow_residual=allow_residual,
                     name=f"random_{seed}_{len(out)}",
+                    definitional_props=definitional_props,
                 )
             )
         except SortError:

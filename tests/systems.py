@@ -151,3 +151,71 @@ def nested_not(depth: int) -> TransitionSystem:
         halt=ir.FALSE,
         name=f"nested_not_{depth}",
     )
+
+
+def _definitional(name: str, *props: tuple[str, ir.Expr]) -> TransitionSystem:
+    """Three 3-bit counters a, b, c and a bool f, stepping a+1, b+a, c^b
+    and not f, under the given properties. The initial states are the good
+    states, so init has the properties' definitions too."""
+    w = 3
+    a, b, c = (ir.var(n, bitvec(w)) for n in "abc")
+    f = ir.var("f", BOOL)
+    return TransitionSystem(
+        vars=(
+            *(VarDecl(n, bitvec(w), VarRole.STATE) for n in "abc"),
+            VarDecl("f", BOOL, VarRole.STATE),
+        ),
+        init=ir.conj([e for _, e in props]),
+        trans=ir.conj(
+            [
+                ir.eq(ir.next_var("a", bitvec(w)), ir.bvadd(a, ir.bv_const(1, w))),
+                ir.eq(ir.next_var("b", bitvec(w)), ir.bvadd(b, a)),
+                ir.eq(ir.next_var("c", bitvec(w)), ir.bvxor(c, b)),
+                ir.eq(ir.next_var("f", BOOL), ir.not_(f)),
+            ]
+        ),
+        props=tuple(Prop(n, e) for n, e in props),
+        halt=ir.FALSE,
+        name=name,
+    )
+
+
+def definitional_props() -> dict[str, TransitionSystem]:
+    """Systems whose property conjunction defines some variables, keyed by
+    the case each covers, with the names its definitions fix."""
+    w = 3
+    a, b, c = (ir.var(n, bitvec(w)) for n in "abc")
+    f = ir.var("f", BOOL)
+    one, five = ir.bv_const(1, w), ir.bv_const(5, w)
+    return {
+        # c from b, b from a: the order of the conjuncts is not the order
+        # the definitions run in
+        "chain": _definitional(
+            "def_chain",
+            ("p", ir.conj([ir.eq(c, ir.bvadd(b, one)), ir.eq(ir.bvmul(a, a), b), ir.bvule(a, five)])),
+        ),
+        # a from b and b from a: neither can run first, so both stay free
+        "cycle": _definitional(
+            "def_cycle",
+            ("p", ir.conj([ir.eq(a, ir.bvadd(b, one)), ir.eq(b, ir.bvadd(a, ir.bv_const(7, w)))])),
+        ),
+        # the second definition of a is only a constraint
+        "twice": _definitional(
+            "def_twice",
+            ("p", ir.conj([ir.eq(a, ir.bvadd(b, one)), ir.eq(a, ir.bvsub(c, one))])),
+        ),
+        "constrained": _definitional(
+            "def_constrained",
+            ("p", ir.conj([ir.eq(a, ir.bvadd(b, c)), ir.bvult(a, ir.bv_const(4, w))])),
+        ),
+        "one_of_several": _definitional(
+            "def_one_of_several",
+            ("low", ir.bvule(a, ir.bv_const(6, w))),
+            ("mix", ir.conj([ir.eq(b, ir.bvxor(a, five)), ir.not_(ir.eq(c, b))])),
+            ("any", ir.or_(f, ir.bvuge(c, one))),
+        ),
+        "bool": _definitional(
+            "def_bool",
+            ("p", ir.conj([ir.eq(f, ir.bvult(a, b)), ir.or_(ir.not_(f), ir.eq(c, a))])),
+        ),
+    }

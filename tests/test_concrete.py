@@ -8,6 +8,7 @@ must produce identical initial-state and successor sets, in identical order.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from itertools import product
 from sys import getswitchinterval, setswitchinterval
@@ -17,11 +18,12 @@ import pytest
 from kindmc import ir
 from kindmc.concrete import SystemExecutor, _domain
 from kindmc.errors import InternalError
+from kindmc.frontend import format_system
 from kindmc.ir import State, eval_expr
 from kindmc.solver import _executor
 
 from randsys import corpus
-from systems import deadlock_chain, halt_sink, moving_halt, saturating
+from systems import deadlock_chain, definitional_props, halt_sink, moving_halt, saturating
 
 
 def _naive_initials(sys):
@@ -109,6 +111,67 @@ def test_successor_memoization():
 def test_initial_states_memoized():
     ex = SystemExecutor(saturating())
     assert ex.initial_states() is ex.initial_states()
+
+
+# ---------------------------------------------------------------------------
+# Good states, enumerated from the properties' definitions
+
+
+def _filtered_good(ex: SystemExecutor) -> tuple[tuple, ...]:
+    """The good states by brute force: every state, in ascending order,
+    at which eval_expr finds every property true."""
+    props = [p.expr for p in ex.system.props]
+
+    def good(s):
+        env = dict(zip(ex.state_names, s))
+        return all(eval_expr(e, env) for e in props)
+
+    return tuple(filter(good, ex.all_states()))
+
+
+def _defined(ex: SystemExecutor) -> list[str]:
+    defs, _ = ex._split_defs(ir.conj([p.expr for p in ex.system.props]))
+    return [name for name, _ in defs]
+
+
+@pytest.mark.parametrize(
+    "case, defined",
+    [
+        ("chain", ["b", "c"]),
+        ("cycle", []),
+        ("twice", ["a"]),
+        ("constrained", ["a"]),
+        ("one_of_several", ["b"]),
+        ("bool", ["f"]),
+    ],
+)
+def test_good_states_from_definitional_props_match_the_filter(case, defined):
+    ex = SystemExecutor(definitional_props()[case])
+    assert _defined(ex) == defined
+    good = ex.good_states()
+    assert good == _filtered_good(ex)
+    assert good and good is ex.good_states()
+    # init is the property conjunction, enumerated the same way
+    assert ex.initial_states() == good
+
+
+def test_good_states_match_the_filter_on_random_systems():
+    systems = corpus(seed=20261019, n=400, max_state_bits=8, definitional_props=True)
+    with_defs = 0
+    for sys in systems + corpus(seed=20261020, n=100, max_state_bits=8):
+        ex = SystemExecutor(sys)
+        with_defs += bool(_defined(ex))
+        assert ex.good_states() == _filtered_good(ex), sys.name
+    assert with_defs >= 100
+
+
+def test_corpus_without_the_option_is_unchanged():
+    # the benchmark's random_corpus is built from this corpus
+    texts = "\n".join(format_system(s) for s in corpus(1, 1000, max_state_bits=8))
+    assert (
+        hashlib.sha256(texts.encode()).hexdigest()
+        == "2619c53499a762d68ea03ab11a6c74793adb69d68999b76fbfda5542ae3a7d02"
+    )
 
 
 def test_deadlock_state_has_no_successors():

@@ -16,15 +16,16 @@ from kindmc import solver as solver_mod
 from kindmc.concrete import SystemExecutor, _domain
 from kindmc.encoder import (
     Marker,
+    QueryKind,
     Target,
     encode_base_case,
     encode_extended_base_case,
     encode_forward_condition,
     encode_inductive_step,
 )
-from kindmc.engine import compare
+from kindmc.engine import compare, run_extended, run_plain
 from kindmc.errors import ConfigError, InternalError, ProtocolError
-from kindmc.frontend import chain_bug
+from kindmc.frontend import chain_bug, diamond_parity
 from kindmc.ir import State, Trace, eval_expr, replay_trace
 from kindmc.solver import (
     Solver,
@@ -278,6 +279,87 @@ def test_compare_builds_one_executor_for_both_engines(monkeypatch):
     assert built == [sys]
     compare(chain_bug(9))
     assert len(built) == 2
+
+
+# ---------------------------------------------------------------------------
+# Checked forward and inductive answers are kept per system
+
+_EXACT = (QueryKind.FORWARD, QueryKind.INDUCTIVE)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: chain_bug(9), lambda: diamond_parity(9)], ids=["chain_bug", "diamond_parity"]
+)
+def test_compare_checks_each_exact_model_once(monkeypatch, make):
+    finished = []
+    real = solver_mod._finish_model
+
+    def counting(q, model, strict):
+        finished.append((q.kind.value, q.k))
+        return real(q, model, strict)
+
+    monkeypatch.setattr(solver_mod, "_finish_model", counting)
+    rec = compare(make())
+    sat = [
+        (c.check, c.k)
+        for r in (rec.plain, rec.extended)
+        for it in r.iterations
+        for c in it.checks
+        if c.status == "sat" and c.check in ("forward", "inductive")
+    ]
+    exact = [f for f in finished if f[0] in ("forward", "inductive")]
+    assert sorted(exact) == sorted(set(sat))
+    assert len(sat) > len(exact)  # the extended engine read kept models
+
+
+def _exact_answers(monkeypatch, run) -> list:
+    """(kind, k, status, model) of every forward and inductive check run makes."""
+    answers = []
+    real = Solver.check
+
+    def recording(self, q):
+        v = real(self, q)
+        if q.kind in _EXACT:
+            answers.append((q.kind, q.k, v.status, v.model))
+        return v
+
+    with monkeypatch.context() as m:
+        m.setattr(Solver, "check", recording)
+        run()
+    return answers
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: chain_bug(9), lambda: diamond_parity(9)], ids=["chain_bug", "diamond_parity"]
+)
+def test_kept_models_equal_those_of_a_cold_run(monkeypatch, make):
+    sys = make()
+    run_plain(sys)
+    warm = _exact_answers(monkeypatch, lambda: run_extended(sys))
+    cold = _exact_answers(monkeypatch, lambda: run_extended(make()))
+    assert warm == cold
+    assert any(status is SolverStatus.SAT for _, _, status, _ in warm)
+
+
+def test_a_mutated_model_does_not_change_the_next_answer():
+    sys = chain_bug(5)
+    for encode in (encode_forward_condition, encode_inductive_step):
+        first = Solver(SolverConfig()).check(encode(sys, 3))
+        kept = dict(first.model)
+        first.model["x@1"] = 7
+        first.model.pop("x@2")
+        again = Solver(SolverConfig()).check(encode(sys, 3))
+        assert again.model == kept
+
+
+def test_an_exact_model_that_fails_the_recheck_is_not_kept(monkeypatch):
+    # 0 -> 0 is no step of chain_bug, and 0 violates nothing
+    sys = chain_bug(5)
+    monkeypatch.setattr(solver_mod, "_search", lambda ex, q: ([(0,), (0,)], [()]))
+    for _ in range(2):
+        with pytest.raises(InternalError, match="model fails re-check for inductive k=2"):
+            Solver(SolverConfig()).check(encode_inductive_step(sys, 2))
+    assert solver_mod._executor(sys).models == {}
 
 
 def test_naive_answers_when_inputs_break_the_cap():
