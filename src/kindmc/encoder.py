@@ -26,7 +26,10 @@ built from those on first read, by whichever consumer needs it:
 serialize_smtlib for an external solver, the re-check of a satisfying
 model, the naive enumeration fallback, and decode_model. The enum backend
 answers from the question alone, so an unsatisfiable answer there never
-builds a formula.
+builds a formula. Nor does a satisfiable base case there, until its model
+is read: the backend checks the answer's path against the system's
+semantics and decodes it from the path. Target ids must be distinct
+within a query, since each names its markers.
 
 Formulas are assembled from shared timed subterms: timed(trans, i),
 timed(init, 1), timed(halt, k), and the property conjunction phi and its
@@ -230,6 +233,11 @@ def encode_extended_base_case(
     include_violations: bool = True,
 ) -> Query:
     _check_k(k)
+    tids: set[int] = set()
+    for t in targets:
+        if t.tid in tids:
+            raise InternalError(f"target id {t.tid} is used by two targets")
+        tids.add(t.tid)
     return Query(QueryKind.EXTENDED_BASE, k, sys, tuple(targets), include_violations)
 
 

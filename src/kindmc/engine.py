@@ -33,6 +33,7 @@ from typing import Optional
 
 from .concrete import lint_halt_sink
 from .encoder import (
+    Query,
     Target,
     encode_base_case,
     encode_extended_base_case,
@@ -46,6 +47,7 @@ from .solver import (
     Solver,
     SolverConfig,
     SolverStatus,
+    SolverVerdict,
     decode_model,
 )
 
@@ -137,6 +139,12 @@ def stitch(prefix: Trace, target: Target) -> Trace:
     )
 
 
+def _decoded(q: Query, v: SolverVerdict) -> DecodedModel:
+    """A satisfiable answer: the one the enum backend read off its path and
+    checked, when the verdict carries it, otherwise decoded from the model."""
+    return v.decoded if v.decoded is not None else decode_model(q, v.model)
+
+
 def run_plain(sys: TransitionSystem, cfg: Optional[EngineConfig] = None) -> VerificationReport:
     return _run(sys, cfg or EngineConfig(), extended=False)
 
@@ -220,7 +228,7 @@ def _run(sys: TransitionSystem, cfg: EngineConfig, extended: bool) -> Verificati
         vb = timed_check(qb, qb.kind.value, checks)
         base_closed = vb.status is SolverStatus.UNSAT
         if vb.status is SolverStatus.SAT:
-            witness, matched = bug_witness(decode_model(qb, vb.model))
+            witness, matched = bug_witness(_decoded(qb, vb))
             finish_iter()
             return report(Outcome.BUG_FOUND, k, witness=witness, matched=matched)
         if vb.status is SolverStatus.UNKNOWN:
@@ -257,7 +265,7 @@ def _run(sys: TransitionSystem, cfg: EngineConfig, extended: bool) -> Verificati
                 " blocks the proof"
             )
         elif extended:
-            dec = decode_model(qi, vi.model)
+            dec = _decoded(qi, vi)
             first = dec.trace.states[0]
             if first not in first_states:
                 first_states.add(first)
@@ -270,7 +278,7 @@ def _run(sys: TransitionSystem, cfg: EngineConfig, extended: bool) -> Verificati
                     )
                     vr = timed_check(qr, "target-recheck", checks)
                     if vr.status is SolverStatus.SAT:
-                        witness, matched = bug_witness(decode_model(qr, vr.model))
+                        witness, matched = bug_witness(_decoded(qr, vr))
                         finish_iter()
                         return report(Outcome.BUG_FOUND, k, witness=witness, matched=matched)
                     if vr.status is SolverStatus.UNKNOWN:

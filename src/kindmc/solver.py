@@ -31,11 +31,17 @@ Two backends:
             unknown with a diagnostic rather than an exception.
 
 Every satisfiable answer carries a full model (timed variables plus the
-auxiliary booleans), and the model is re-checked against the query's full
-formula before it is returned: for a kept model, against the equal formula
-of the query that first found it. For the built-in backend a failed
-re-check is a bug and raises, and the model is not kept; for an external
-process it downgrades the answer to unknown.
+auxiliary booleans), re-checked against the query's full formula. Most
+models are re-checked before they are returned: for a kept model, against
+the equal formula of the query that first found it. A satisfiable base,
+extended-base or target-recheck answer of the enum backend is checked
+against the system's semantics instead, and comes already decoded
+(SolverVerdict.decoded): its path replays through ir.replay_trace from an
+initial state and ends at a goal of the query. Its model, and with it the
+formula, is built and re-checked only on the first read of `model`, so
+the engine, which reads the decoded answer, builds neither. For the
+built-in backend a failed check is a bug and raises, and the model is not
+kept; for an external process it downgrades the answer to unknown.
 """
 
 from __future__ import annotations
@@ -46,13 +52,13 @@ import subprocess
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .concrete import Path, SystemExecutor, _domain
 from .encoder import Marker, Query, QueryKind, serialize_smtlib
 from .errors import ConfigError, InternalError, ParseError, ProtocolError
 from .frontend import _read
-from .ir import State, Trace, Value, VarDecl, eval_expr, per_system
+from .ir import State, Trace, Value, VarDecl, eval_expr, per_system, replay_trace
 
 Model = dict[str, Value]
 
@@ -68,11 +74,36 @@ class SolverStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
 class SolverVerdict:
-    status: SolverStatus
-    model: Optional[Model] = None
-    diagnostic: str = ""
+    """A solver's answer. A satisfiable reach answer of the enum backend
+    also carries `decoded`, its checked answer, and builds its `model` on
+    the first read, with `assemble`."""
+
+    __slots__ = ("status", "diagnostic", "decoded", "_model", "_assemble")
+
+    def __init__(
+        self,
+        status: SolverStatus,
+        model: Optional[Model] = None,
+        diagnostic: str = "",
+        decoded: Optional[DecodedModel] = None,
+        assemble: Optional[Callable[[], Model]] = None,
+    ) -> None:
+        self.status = status
+        self.diagnostic = diagnostic
+        self.decoded = decoded
+        self._model = model
+        self._assemble = assemble
+
+    @property
+    def model(self) -> Optional[Model]:
+        if self._assemble is not None:
+            self._model = self._assemble()
+            self._assemble = None
+        return self._model
+
+    def __repr__(self) -> str:
+        return f"SolverVerdict({self.status}, diagnostic={self.diagnostic!r})"
 
 
 @dataclass(frozen=True)
@@ -138,10 +169,14 @@ class Solver:
             path = _search(ex, q)
             if path is None:
                 return SolverVerdict(SolverStatus.UNSAT)
-            model = _assemble_model(q, ex, *path)
+            if q.kind not in _EXACT:
+                return SolverVerdict(
+                    SolverStatus.SAT,
+                    decoded=_reach_answer(q, ex, *path),
+                    assemble=lambda: _assemble_model(q, ex, *path),
+                )
             # a checked model of such a formula is a fact of the system
-            if q.kind in _EXACT:
-                ex.models[key] = model
+            model = ex.models[key] = _assemble_model(q, ex, *path)
         return SolverVerdict(SolverStatus.SAT, dict(model))
 
 
@@ -189,6 +224,46 @@ def _assemble_model(
     return model
 
 
+def _reach_answer(
+    q: Query,
+    ex: SystemExecutor,
+    states: Sequence[tuple],
+    inputs: Sequence[tuple],
+) -> DecodedModel:
+    """What decode_model reads from _assemble_model's model of a base-case
+    path, read off the path itself: the trace ends at the first state that
+    violates a property or equals a target's first state. A violation wins
+    and names the first false property; otherwise the least such tid is
+    matched. The answer is checked against the system's semantics, not the
+    formula: the trace replays from an initial state (naming a property
+    that is false at its end), and it ends at a goal of q. A target-recheck
+    path that meets a violation first must replay on to a target."""
+    tids: dict[tuple, int] = {}
+    for t in q.targets:
+        s = ex.state_tuple(t.first_state)
+        tids[s] = min(t.tid, tids.get(s, t.tid))
+    n = next(
+        (i for i, s in enumerate(states, 1) if s in tids or ex.violated_prop(s) is not None),
+        None,
+    )
+    if n is None or len(states) > q.k:
+        raise InternalError(_recheck_failure(q))
+    hit = states[n - 1]
+    violated = ex.violated_prop(hit)
+    path = Trace(tuple(map(ex.state_obj, states)), tuple(map(ex.input_obj, inputs)))
+    trace = Trace(path.states[:n], path.inputs[: n - 1], violated)
+    ok = replay_trace(q.system, trace)
+    if violated is not None and not q.include_violations and hit not in tids:
+        ok = ok and states[-1] in tids and replay_trace(q.system, path)
+    if not ok:
+        raise InternalError(_recheck_failure(q))
+    return DecodedModel(trace, None if violated is not None else tids[hit])
+
+
+def _recheck_failure(q: Query) -> str:
+    return f"model fails re-check for {q.kind.value} k={q.k}"
+
+
 def _finish_model(q: Query, model: Model, strict: bool) -> Optional[str]:
     """Fill in auxiliary booleans from their definitions and re-check the
     main assertion. Returns a complaint (or raises when strict) if the
@@ -197,7 +272,7 @@ def _finish_model(q: Query, model: Model, strict: bool) -> Optional[str]:
         model[name] = eval_expr(defn, model)
     ok = eval_expr(q.assertion, model)
     if ok is not True:
-        msg = f"model fails re-check for {q.kind.value} k={q.k}"
+        msg = _recheck_failure(q)
         if strict:
             raise InternalError(msg)
         return msg

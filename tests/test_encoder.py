@@ -26,6 +26,7 @@ from kindmc.encoder import (
     state_equals,
     timed,
 )
+from kindmc.engine import run_extended
 from kindmc.errors import InternalError
 from kindmc.frontend import accumulator, chain_bug, const_check, diamond_parity
 from kindmc.ir import BOOL, Prop, State, Trace, TransitionSystem, VarDecl, VarRole, bitvec
@@ -165,6 +166,18 @@ def test_target_only_recheck_keeps_viol_defs_but_not_in_assertion():
     used = {n.name for n in ir.walk(q.assertion) if n.op == "var"}
     assert "viol@@1" not in used and "viol@@2" not in used
     assert "tgt1@@1" in used and "tgt1@@2" in used
+
+
+def test_a_target_id_used_twice_is_refused_at_encode_time():
+    # before, the two targets' markers shared a name, and the enum
+    # backend's re-check of the satisfying model failed
+    sys = chain_bug(9)
+    engine_target = run_extended(sys).targets[0]
+    assert engine_target.tid == 1
+    hand_made = _target(tid=1, x=3)
+    for targets in ((engine_target, hand_made), (hand_made, engine_target)):
+        with pytest.raises(InternalError, match="target id 1 is used by two targets"):
+            encode_extended_base_case(sys, 2, targets)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from kindmc.encoder import (
     encode_forward_condition,
     encode_inductive_step,
 )
-from kindmc.engine import compare, run_extended, run_plain
+from kindmc.engine import EngineConfig, TargetRecheck, compare, run_extended, run_plain
 from kindmc.errors import ConfigError, InternalError, ProtocolError
-from kindmc.frontend import chain_bug, diamond_parity
+from kindmc.frontend import chain_bug, const_check, diamond_parity
 from kindmc.ir import State, Trace, eval_expr, replay_trace
 from kindmc.solver import (
     Solver,
@@ -39,7 +39,15 @@ from kindmc.solver import (
 
 from conftest import fake_solver
 from randsys import corpus
-from systems import deadlock_chain, input_chain, saturating
+from systems import (
+    deadlock_chain,
+    definitional_props,
+    halt_sink,
+    identity_spurious,
+    input_chain,
+    moving_halt,
+    saturating,
+)
 
 
 def _zero_state(sys) -> State:
@@ -175,6 +183,9 @@ def test_target_hit_decodes_with_target_id():
 # Formulas are built on demand
 
 
+_REACH = (QueryKind.BASE, QueryKind.EXTENDED_BASE)
+
+
 @pytest.mark.parametrize("sys", [chain_bug(5), saturating()], ids=lambda s: s.name)
 def test_enum_builds_a_formula_only_for_sat_answers(sys):
     statuses = set()
@@ -184,11 +195,17 @@ def test_enum_builds_a_formula_only_for_sat_answers(sys):
             statuses.add(v.status)
             if v.status is SolverStatus.UNSAT:
                 assert "_formula" not in vars(q) and "decls" not in vars(q)
-            else:
-                # the re-check read the formula and filled in every marker
-                assert "_formula" in vars(q)
-                assert {m.name for m in q.markers} <= set(v.model)
-                assert eval_expr(q.assertion, v.model) is True
+                continue
+            if q.kind in _REACH:
+                # checked on its path: the formula waits for a read of the model
+                assert v.decoded is not None
+                assert "_formula" not in vars(q) and "decls" not in vars(q)
+            model = v.model
+            # the re-check read the formula and filled in every marker
+            assert "_formula" in vars(q)
+            assert {m.name for m in q.markers} <= set(model)
+            assert eval_expr(q.assertion, model) is True
+            assert v.model is model
     assert statuses == {SolverStatus.SAT, SolverStatus.UNSAT}
 
 
@@ -197,6 +214,86 @@ def test_enum_model_that_fails_the_recheck_raises(monkeypatch):
     monkeypatch.setattr(solver_mod, "_search", lambda ex, q: ([(0,)], []))
     with pytest.raises(InternalError, match="model fails re-check for base k=2"):
         Solver(SolverConfig()).check(encode_base_case(chain_bug(5), 2))
+
+
+# chain_bug(5) counts 0, 1, 2, ... from 0 and fails at 5
+_BAD_PATHS = {
+    "starts_outside_init": [(1,), (2,), (3,), (4,), (5,)],
+    "breaks_trans": [(0,), (1,), (5,)],
+    "ends_at_a_non_goal": [(0,), (1,), (2,)],
+}
+
+
+@pytest.mark.parametrize("states", _BAD_PATHS.values(), ids=_BAD_PATHS.keys())
+def test_a_reach_path_that_fails_the_semantics_raises(monkeypatch, states):
+    path = (states, [()] * (len(states) - 1))
+    monkeypatch.setattr(solver_mod, "_search", lambda ex, q: path)
+    with pytest.raises(InternalError, match="model fails re-check for base k=5"):
+        Solver(SolverConfig()).check(encode_base_case(chain_bug(5), 5))
+
+
+def test_a_recheck_path_through_a_violation_must_reach_its_target(monkeypatch):
+    # the violation at x=5 comes first, so it is the answer, as decode_model
+    # reads it; but the path has to end at the target for the query to hold
+    sys = chain_bug(5)
+    goal = State({"x": 6})
+    t = Target(goal, Trace((goal,), ()), 1, 1)
+    q = encode_extended_base_case(sys, 7, (t,), include_violations=False)
+    v = Solver(SolverConfig()).check(q)
+    assert v.status is SolverStatus.SAT
+    assert v.decoded.trace.violated_prop == "below_limit"
+    assert len(v.decoded.trace.states) == 6
+    assert v.decoded == decode_model(q, v.model)
+    states = [(x,) for x in range(6)] + [(7,)]
+    monkeypatch.setattr(solver_mod, "_search", lambda ex, q: (states, [()] * 6))
+    with pytest.raises(InternalError, match="model fails re-check for extended-base k=7"):
+        Solver(SolverConfig()).check(q)
+
+
+# ---------------------------------------------------------------------------
+# Each reach answer's decoded form is the decoding of its model
+
+
+@pytest.fixture(scope="module")
+def reach_corpus():
+    fixed = [
+        saturating(),
+        halt_sink(),
+        identity_spurious(),
+        moving_halt(),
+        deadlock_chain(),
+        input_chain(4),
+        input_chain(7),
+        *definitional_props().values(),
+        chain_bug(9),
+        diamond_parity(9),
+        const_check(8),
+    ]
+    return fixed + corpus(seed=43, n=800, max_state_bits=8)
+
+
+@pytest.mark.parametrize("recheck", list(TargetRecheck), ids=lambda r: r.value)
+def test_reach_answers_decode_as_their_models(reach_corpus, recheck):
+    cfg = EngineConfig(max_k=8, target_recheck=recheck)
+    sat = matched = passed_a_violation = 0
+    for sys in reach_corpus:
+        targets = run_extended(sys, cfg).targets
+        for k in range(1, 6):
+            for q in (
+                encode_base_case(sys, k),
+                encode_extended_base_case(sys, k, targets),
+                encode_extended_base_case(sys, k, targets, include_violations=False),
+            ):
+                v = Solver(SolverConfig()).check(q)
+                if v.status is not SolverStatus.SAT:
+                    continue
+                sat += 1
+                matched += v.decoded.matched_target is not None
+                passed_a_violation += not q.include_violations and not v.decoded.matched_target
+                assert v.decoded == decode_model(q, v.model), (sys.name, q.kind.value, k)
+                assert eval_expr(q.assertion, v.model) is True
+    # target hits, and target-only queries answered by an earlier violation
+    assert sat > 5000 and matched >= 20 and passed_a_violation >= 50
 
 
 # ---------------------------------------------------------------------------
