@@ -12,8 +12,9 @@ Auxiliary booleans use a double '@':
   tgt<t>@@i state i equals target t's first state
 
 Each auxiliary symbol comes with a defining equality, kept separate from the
-main assertion so a model immediately reveals where on the path something
-fired. The four query kinds:
+main assertion (marker_defs). They are definitions of the SMT-LIB text only:
+no decoder reads them, since a base-case answer is decided from its path
+(solver.decode_model). The four query kinds:
 
   base           init(s1) and, for some i <= k, path to i with viol@@i
   extended-base  like base, but a step may also hit a target state
@@ -21,15 +22,15 @@ fired. The four query kinds:
   inductive      path of k states, properties hold at 1..k-1, fail at k
 
 A Query holds only the question: kind, k, system, targets and whether
-violations count. Its formula (decls, markers, marker_defs, assertion) is
-built from those on first read, by whichever consumer needs it:
-serialize_smtlib for an external solver, the re-check of a satisfying
-model, the naive enumeration fallback, and decode_model. The enum backend
-answers from the question alone, so an unsatisfiable answer there never
-builds a formula. Nor does a satisfiable base case there, until its model
-is read: the backend checks the answer's path against the system's
-semantics and decodes it from the path. Target ids must be distinct
-within a query, since each names its markers.
+violations count. Its formula (decls, marker_defs, assertion) is built
+from those on first read, by whichever consumer needs it: serialize_smtlib
+for an external solver, the re-check of a satisfying model and the naive
+enumeration fallback. The enum backend answers from the question alone, so
+an unsatisfiable answer there never builds a formula. Nor does a
+satisfiable base case there, until its model is read: the backend checks
+the answer's path against the system's semantics and decodes it from the
+path. Target ids must be distinct within a query, since each names its
+definitions.
 
 Formulas are assembled from shared timed subterms: timed(trans, i),
 timed(init, 1), timed(halt, k), and the property conjunction phi and its
@@ -38,8 +39,8 @@ later query of that system reuses the same object, so a run of k iterations
 builds each step's transition relation once rather than once per
 satisfiable answer. The cache is an ir.per_system slot: it holds the last
 system queried and its subterms until a query of a different system object
-replaces them. A target's state equality at step i is a conjunction of
-shared atoms (= x@i v), built once per variable, step and value.
+replaces them. A target's state equality at step i is built anew by each
+extended base case formula: a run on the enum backend builds none.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from . import ir
 from .errors import InternalError
@@ -73,16 +74,6 @@ class TimedVar:
 
 
 @dataclass(frozen=True)
-class Marker:
-    """A boolean the decoder inspects. target_id is None for violation
-    markers."""
-
-    name: str
-    depth: int
-    target_id: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class Target:
     """A reachability goal harvested from an inductive-step counterexample:
     first_state is the state the bad suffix starts from, suffix the whole
@@ -95,15 +86,14 @@ class Target:
 
 
 class _Formula(NamedTuple):
-    markers: tuple[Marker, ...]
     marker_defs: tuple[tuple[str, Expr], ...]
     assertion: Expr
 
 
 @dataclass(frozen=True)
 class Query:
-    """The question a solver is asked. Its SMT formula (decls, markers,
-    marker_defs, assertion) is built from these fields on first read."""
+    """The question a solver is asked. Its SMT formula (decls, marker_defs,
+    assertion) is built from these fields on first read."""
 
     kind: QueryKind
     k: int
@@ -119,7 +109,6 @@ class Query:
     def _formula(self) -> _Formula:
         return _FORMULA[self.kind](self)
 
-    markers = property(lambda self: self._formula.markers)
     marker_defs = property(lambda self: self._formula.marker_defs)
     assertion = property(lambda self: self._formula.assertion)
 
@@ -143,13 +132,12 @@ def timed(e: Expr, step: int) -> Expr:
 def state_equals(sys: TransitionSystem, step: int, state: State) -> Expr:
     """s_step equals the given concrete state, as a conjunction over state
     variables."""
-    at = _terms(sys)
     values = state.as_dict()
     parts = []
     for d in sys.state_vars:
         if d.name not in values:
             raise InternalError(f"target state missing variable {d.name!r}")
-        parts.append(at.equals(d, step, values[d.name]))
+        parts.append(ir.eq(ir.var(f"{d.name}@{step}", d.sort), ir.const(values[d.name], d.sort)))
     return ir.conj(parts)
 
 
@@ -183,23 +171,10 @@ class _TimedTerms(dict):
             "phi": phi,
             "bad": ir.not_(phi),
         }
-        self._equals: dict[tuple[str, int, ir.Value], Expr] = {}
 
     def __missing__(self, key: tuple[str, int]) -> Expr:
         section, step = key
         e = self[key] = timed(self._sections[section], step)
-        return e
-
-    def equals(self, d: ir.VarDecl, step: int, value: ir.Value) -> Expr:
-        """(= x@step value) for state variable x, built once per variable,
-        step and value: the extended base case asks it of every target at
-        every step."""
-        key = (d.name, step, value)
-        e = self._equals.get(key)
-        if e is None:
-            e = self._equals[key] = ir.eq(
-                ir.var(f"{d.name}@{step}", d.sort), ir.const(value, d.sort)
-            )
         return e
 
 
@@ -264,16 +239,11 @@ def _reach_formula(q: Query) -> _Formula:
     sys, k, targets = q.system, q.k, q.targets
     at = _terms(sys)
     defs = _path_defs(at, k)
-    markers: list[Marker] = []
-    for i in range(1, k + 1):
-        name = f"viol@@{i}"
-        defs.append((name, at["bad", i]))
-        markers.append(Marker(name, i))
+    defs.extend((f"viol@@{i}", at["bad", i]) for i in range(1, k + 1))
     for t in targets:
-        for i in range(1, k + 1):
-            name = f"tgt{t.tid}@@{i}"
-            defs.append((name, state_equals(sys, i, t.first_state)))
-            markers.append(Marker(name, i, t.tid))
+        defs.extend(
+            (f"tgt{t.tid}@@{i}", state_equals(sys, i, t.first_state)) for i in range(1, k + 1)
+        )
     disjuncts = []
     for i in range(1, k + 1):
         hits = []
@@ -282,7 +252,7 @@ def _reach_formula(q: Query) -> _Formula:
         hits.extend(ir.var(f"tgt{t.tid}@@{i}", BOOL) for t in targets)
         disjuncts.append(ir.conj([ir.var(f"path@@{i}", BOOL), ir.disj(hits)]))
     assertion = ir.conj([at["init", 1], ir.disj(disjuncts)])
-    return _Formula(tuple(markers), tuple(defs), assertion)
+    return _Formula(tuple(defs), assertion)
 
 
 def _forward_formula(q: Query) -> _Formula:
@@ -290,7 +260,7 @@ def _forward_formula(q: Query) -> _Formula:
     parts = [at["init", 1]]
     parts.extend(_path_conj(at, k))
     parts.append(ir.not_(at["halt", k]))
-    return _Formula((), (), ir.conj(parts))
+    return _Formula((), ir.conj(parts))
 
 
 def _inductive_formula(q: Query) -> _Formula:
@@ -299,7 +269,7 @@ def _inductive_formula(q: Query) -> _Formula:
     parts.extend(_path_conj(at, k))
     parts.extend(at["phi", i] for i in range(1, k))
     parts.append(at["bad", k])
-    return _Formula((), (), ir.conj(parts))
+    return _Formula((), ir.conj(parts))
 
 
 _FORMULA = {

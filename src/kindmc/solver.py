@@ -42,6 +42,12 @@ formula, is built and re-checked only on the first read of `model`, so
 the engine, which reads the decoded answer, builds neither. For the
 built-in backend a failed check is a bug and raises, and the model is not
 kept; for an external process it downgrades the answer to unknown.
+
+A base-case answer is decided by its path alone, in one place
+(_first_hit): the first state that violates a property or equals a
+target's first state. The enum backend applies it to the search's path,
+decode_model to a model's states. The auxiliary booleans are definitions
+in the formula's SMT-LIB text; no decoder reads them.
 """
 
 from __future__ import annotations
@@ -52,10 +58,10 @@ import subprocess
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .concrete import Path, SystemExecutor, _domain
-from .encoder import Marker, Query, QueryKind, serialize_smtlib
+from .encoder import Query, QueryKind, serialize_smtlib
 from .errors import ConfigError, InternalError, ParseError, ProtocolError
 from .frontend import _read
 from .ir import State, Trace, Value, VarDecl, eval_expr, per_system, replay_trace
@@ -133,7 +139,11 @@ def resolve_config(solver_arg: Optional[str] = None, timeout_ms: int = 0) -> Sol
         return SolverConfig("enum", (), timeout_ms)
     if spec.startswith("external:"):
         spec = spec[len("external:") :]
-    return SolverConfig("external", tuple(shlex.split(spec)), timeout_ms)
+    try:
+        command = tuple(shlex.split(spec))
+    except ValueError as e:  # an unbalanced quote or a trailing escape
+        raise ConfigError(f"cannot split solver command {spec!r}: {e}") from None
+    return SolverConfig("external", command, timeout_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -230,34 +240,25 @@ def _reach_answer(
     states: Sequence[tuple],
     inputs: Sequence[tuple],
 ) -> DecodedModel:
-    """What decode_model reads from _assemble_model's model of a base-case
-    path, read off the path itself: the trace ends at the first state that
-    violates a property or equals a target's first state. A violation wins
-    and names the first false property; otherwise the least such tid is
-    matched. The answer is checked against the system's semantics, not the
-    formula: the trace replays from an initial state (naming a property
-    that is false at its end), and it ends at a goal of q. A target-recheck
-    path that meets a violation first must replay on to a target."""
-    tids: dict[tuple, int] = {}
-    for t in q.targets:
-        s = ex.state_tuple(t.first_state)
-        tids[s] = min(t.tid, tids.get(s, t.tid))
-    n = next(
-        (i for i, s in enumerate(states, 1) if s in tids or ex.violated_prop(s) is not None),
-        None,
-    )
-    if n is None or len(states) > q.k:
+    """The answer of a base-case path, decided by _first_hit as decode_model
+    decides it for the path's model. It is checked against the system's
+    semantics, not the formula: the trace replays from an initial state
+    (naming a property that is false at its end), and it ends at a goal of
+    q. A target-recheck path that meets a violation first must replay on to
+    a target."""
+    hit = _first_hit(q, states, ex.state_tuple, ex.violated_prop)
+    if hit is None or len(states) > q.k:
         raise InternalError(_recheck_failure(q))
-    hit = states[n - 1]
-    violated = ex.violated_prop(hit)
+    n, violated, tid = hit
     path = Trace(tuple(map(ex.state_obj, states)), tuple(map(ex.input_obj, inputs)))
     trace = Trace(path.states[:n], path.inputs[: n - 1], violated)
     ok = replay_trace(q.system, trace)
-    if violated is not None and not q.include_violations and hit not in tids:
-        ok = ok and states[-1] in tids and replay_trace(q.system, path)
+    if violated is not None and not q.include_violations:
+        goals = {ex.state_tuple(t.first_state) for t in q.targets}
+        ok = ok and states[-1] in goals and replay_trace(q.system, path)
     if not ok:
         raise InternalError(_recheck_failure(q))
-    return DecodedModel(trace, None if violated is not None else tids[hit])
+    return DecodedModel(trace, tid)
 
 
 def _recheck_failure(q: Query) -> str:
@@ -444,48 +445,69 @@ def _values_at(decls: Sequence[VarDecl], model: Model, step: int) -> State:
         raise ProtocolError(f"model has no value for {e.args[0]}") from None
 
 
-def _path_in(q: Query, model: Model, n: int) -> tuple[tuple[State, ...], tuple[State, ...]]:
-    """The model's first n states and the n-1 inputs between them."""
-    sys = q.system
-    states = tuple(_values_at(sys.state_vars, model, i) for i in range(1, n + 1))
-    return states, tuple(_values_at(sys.input_vars, model, i) for i in range(1, n))
+def _path_in(q: Query, model: Model) -> tuple[tuple[State, ...], tuple[State, ...]]:
+    """The model's k states and the k-1 inputs between them."""
+    sys, k = q.system, q.k
+    states = tuple(_values_at(sys.state_vars, model, i) for i in range(1, k + 1))
+    return states, tuple(_values_at(sys.input_vars, model, i) for i in range(1, k))
 
 
-def _first_false_prop(q: Query, state: State) -> str:
+def _first_false_prop(q: Query, state: State) -> Optional[str]:
     for p in q.system.props:
         if eval_expr(p.expr, state) is False:
             return p.name
-    raise ProtocolError("final state violates no property")
+    return None
 
 
-def _marker_key(m: Marker) -> tuple[int, int, int]:
-    return (m.depth, 0 if m.target_id is None else 1, m.target_id or 0)
+def _first_hit(
+    q: Query,
+    states: Iterable,
+    key: Callable[[State], Any],
+    violated_prop: Callable[[Any], Optional[str]],
+) -> Optional[tuple[int, Optional[str], Optional[int]]]:
+    """Where a base-case path answers q: at the first of `states` that
+    violates a property or equals a target's first state, given in the form
+    of `states` by `key`. Returns that state's 1-based position, the first
+    false property and the matched tid, or None when no state hits. A
+    violation wins; otherwise the least such tid is matched."""
+    tids: dict = {}
+    for t in q.targets:
+        s = key(t.first_state)
+        tids[s] = min(t.tid, tids.get(s, t.tid))
+    for n, s in enumerate(states, 1):
+        violated = violated_prop(s)
+        if violated is not None:
+            return n, violated, None
+        if s in tids:
+            return n, None, tids[s]
+    return None
 
 
 def decode_model(q: Query, model: Model) -> DecodedModel:
     """Turn a satisfying assignment into a concrete trace.
 
-    Base-case models name their event through the auxiliary booleans: the
-    fired marker of least depth wins, property violations before target
-    hits. Forward and inductive models decode to the full k-state path.
+    A base-case model decodes to its path up to the first state that
+    violates a property or equals a target's first state (_first_hit), the
+    rule the enum backend answers by. Forward and inductive models decode
+    to the full k-state path.
     """
-    if q.kind in (QueryKind.BASE, QueryKind.EXTENDED_BASE):
-        fired = [
-            m
-            for m in q.markers
-            if model.get(m.name) is True and model.get(f"path@@{m.depth}") is True
-        ]
-        if not fired:
-            raise ProtocolError("satisfiable base case but no fired marker")
-        m = min(fired, key=_marker_key)
-        states, inputs = _path_in(q, model, m.depth)
-        if m.target_id is None:
-            violated = _first_false_prop(q, states[-1])
-            return DecodedModel(Trace(states, inputs, violated))
-        return DecodedModel(Trace(states, inputs), matched_target=m.target_id)
-
-    states, inputs = _path_in(q, model, q.k)
+    states, inputs = _path_in(q, model)
+    if q.kind not in _EXACT:
+        # a target matches on the declared state variables, as in the formula
+        decl = q.system.state_vars
+        hit = _first_hit(
+            q,
+            states,
+            lambda t: State({d.name: t[d.name] for d in decl}),
+            lambda s: _first_false_prop(q, s),
+        )
+        if hit is None:
+            raise ProtocolError("satisfiable base case, but its path hits no violation or target")
+        n, violated, tid = hit
+        return DecodedModel(Trace(states[:n], inputs[: n - 1], violated), tid)
     if q.kind is QueryKind.INDUCTIVE:
         violated = _first_false_prop(q, states[-1])
+        if violated is None:
+            raise ProtocolError("final state violates no property")
         return DecodedModel(Trace(states, inputs, violated))
     return DecodedModel(Trace(states, inputs))

@@ -391,6 +391,21 @@ def test_env_solver_is_honored(capsys, monkeypatch):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_unbalanced_quote_in_solver_command_exits_3(capsys, monkeypatch, source):
+    argv = ["verify", "--family", "chain_bug", "--d", "3"]
+    if source == "flag":
+        argv += ["--solver", 'external:z3 "-in']
+    else:
+        monkeypatch.setenv("KINDMC_SOLVER", 'z3 "-in')
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err == (
+        "kindmc: error: cannot split solver command 'z3 \"-in':"
+        " No closing quotation\n"
+    )
+
+
 def test_solver_flag_beats_env(capsys, monkeypatch):
     monkeypatch.setenv("KINDMC_SOLVER", "external:/nonexistent/smt-solver-xyz")
     code, _, _ = _run(

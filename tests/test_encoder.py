@@ -12,7 +12,6 @@ import kindmc.encoder as encoder_mod
 from kindmc import ir
 from kindmc.concrete import HALT_SINK_BIT_CAP, lint_halt_sink
 from kindmc.encoder import (
-    Marker,
     QueryKind,
     Target,
     TimedVar,
@@ -119,7 +118,6 @@ def test_depth_must_be_positive():
 def test_base_markers_and_defs():
     q = encode_base_case(_tiny(), 2)
     assert q.kind is QueryKind.BASE
-    assert q.markers == (Marker("viol@@1", 1), Marker("viol@@2", 2))
     names = [n for n, _ in q.marker_defs]
     assert names == ["path@@1", "path@@2", "viol@@1", "viol@@2"]
     defs = dict(q.marker_defs)
@@ -137,7 +135,6 @@ def test_extended_base_with_no_targets_matches_base():
         e = encode_extended_base_case(sys, k, ())
         assert e.kind is QueryKind.EXTENDED_BASE
         assert e.assertion == b.assertion
-        assert e.markers == b.markers
         assert e.marker_defs == b.marker_defs
         assert e.decls == b.decls
 
@@ -147,20 +144,19 @@ def test_extended_base_adds_target_markers():
     t = _target(tid=7, x=2)
     q = encode_extended_base_case(sys, 2, (t,))
     assert q.targets == (t,)
-    assert Marker("tgt7@@1", 1, 7) in q.markers
-    assert Marker("tgt7@@2", 2, 7) in q.markers
+    # path, then violation, then target definitions, each in step order
+    names = [n for n, _ in q.marker_defs]
+    assert names == ["path@@1", "path@@2", "viol@@1", "viol@@2", "tgt7@@1", "tgt7@@2"]
     defs = dict(q.marker_defs)
     assert defs["tgt7@@1"] == ir.eq(ir.var("x@1", bitvec(2)), ir.bv_const(2, 2))
-    # violation markers sit in front of target markers
-    names = [n for n, _ in q.marker_defs]
-    assert names.index("viol@@1") < names.index("tgt7@@1")
+    assert defs["tgt7@@2"] == ir.eq(ir.var("x@2", bitvec(2)), ir.bv_const(2, 2))
 
 
 def test_target_only_recheck_keeps_viol_defs_but_not_in_assertion():
     sys = _tiny()
     q = encode_extended_base_case(sys, 2, (_target(),), include_violations=False)
     assert not q.include_violations
-    # defining equalities remain (the decoder may still read them)...
+    # the definitions stay, so the SMT-LIB text does not change...
     assert "viol@@1" in dict(q.marker_defs)
     # ...but no viol symbol appears in the assertion
     used = {n.name for n in ir.walk(q.assertion) if n.op == "var"}
@@ -188,7 +184,7 @@ def test_forward_condition_shape():
     sys = halt_sink()
     q = encode_forward_condition(sys, 3)
     assert q.kind is QueryKind.FORWARD
-    assert q.markers == () and q.marker_defs == ()
+    assert q.marker_defs == ()
     parts = q.assertion.args
     assert parts[0] == timed(sys.init, 1)
     assert parts[1] == timed(sys.trans, 1)

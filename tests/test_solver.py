@@ -15,7 +15,6 @@ from kindmc import ir
 from kindmc import solver as solver_mod
 from kindmc.concrete import SystemExecutor, _domain
 from kindmc.encoder import (
-    Marker,
     QueryKind,
     Target,
     encode_base_case,
@@ -25,7 +24,7 @@ from kindmc.encoder import (
 )
 from kindmc.engine import EngineConfig, TargetRecheck, compare, run_extended, run_plain
 from kindmc.errors import ConfigError, InternalError, ProtocolError
-from kindmc.frontend import chain_bug, const_check, diamond_parity
+from kindmc.frontend import chain_bug, const_check, diamond_parity, parse
 from kindmc.ir import State, Trace, eval_expr, replay_trace
 from kindmc.solver import (
     Solver,
@@ -201,9 +200,9 @@ def test_enum_builds_a_formula_only_for_sat_answers(sys):
                 assert v.decoded is not None
                 assert "_formula" not in vars(q) and "decls" not in vars(q)
             model = v.model
-            # the re-check read the formula and filled in every marker
+            # the re-check read the formula and filled in every definition
             assert "_formula" in vars(q)
-            assert {m.name for m in q.markers} <= set(model)
+            assert {name for name, _ in q.marker_defs} <= set(model)
             assert eval_expr(q.assertion, model) is True
             assert v.model is model
     assert statuses == {SolverStatus.SAT, SolverStatus.UNSAT}
@@ -478,62 +477,89 @@ def test_naive_answers_when_inputs_break_the_cap():
 # Decoding details
 
 
-def _decode_query():
-    sys = chain_bug(5)  # x is (bv 3), prop below_limit fails at x=5
-    goal = State({"x": 3})
-    t = Target(goal, Trace((goal,), ()), 1, 1)
-    return sys, encode_extended_base_case(sys, 3, (t,))
+# x may jump to any value, so every path from x=0 follows the transitions
+_JUMPS = parse(
+    """(system
+  (var x (bv 3))
+  (input c (bv 3))
+  (init (= x #b000))
+  (trans (= (next x) c))
+  (prop not_five (not (= x #b101)))
+  (halt false))""",
+    "jumps",
+)
 
 
-def _model(q, xs, **markers):
-    model = {f"x@{i + 1}": v for i, v in enumerate(xs)}
-    for m in q.markers:
-        model.setdefault(m.name, False)
-    for i in range(1, q.k + 1):
-        model.setdefault(f"path@@{i}", True)
-    model.update(markers)
+def _decode_query(*goals, tids=None):
+    targets = [
+        Target(State({"x": g}), Trace((State({"x": g}),), ()), 1, tid)
+        for g, tid in zip(goals, tids or range(1, len(goals) + 1))
+    ]
+    return encode_extended_base_case(_JUMPS, 4, targets)
+
+
+def _model(q, xs):
+    """The model of the path 0, *xs, with its definitions filled in."""
+    xs = (0, *xs)
+    model = {f"x@{i}": x for i, x in enumerate(xs, 1)}
+    model.update({f"c@{i}": x for i, x in enumerate(xs[1:], 1)})
+    for name, defn in q.marker_defs:
+        model[name] = eval_expr(defn, model)
+    assert eval_expr(q.assertion, model) is True
     return model
 
 
 def test_decode_prefers_shallower_events():
-    sys, q = _decode_query()
-    model = _model(q, [5, 3, 5], **{"viol@@1": True, "viol@@3": True, "tgt1@@2": True})
-    dec = decode_model(q, model)
-    assert len(dec.trace.states) == 1 and dec.matched_target is None
-    assert dec.trace.violated_prop == "below_limit"
+    q = _decode_query(3)
+    dec = decode_model(q, _model(q, [5, 3, 5]))
+    assert [s["x"] for s in dec.trace.states] == [0, 5]
+    assert dec.trace.violated_prop == "not_five" and dec.matched_target is None
+    dec = decode_model(q, _model(q, [3, 5, 3]))
+    assert [s["x"] for s in dec.trace.states] == [0, 3]
+    assert dec.trace.inputs == (State({"c": 3}),)
+    assert dec.trace.violated_prop is None and dec.matched_target == 1
 
 
 def test_decode_prefers_violations_over_targets_at_same_depth():
-    sys, q = _decode_query()
-    model = _model(q, [0, 5, 0], **{"viol@@2": True, "tgt1@@2": True})
-    dec = decode_model(q, model)
-    assert len(dec.trace.states) == 2
+    q = _decode_query(5, 2)
+    dec = decode_model(q, _model(q, [1, 5, 2]))
+    assert len(dec.trace.states) == 3
     assert dec.matched_target is None
-    assert dec.trace.violated_prop == "below_limit"
+    assert dec.trace.violated_prop == "not_five"
+    # among targets that share a state, the least id is matched
+    q = _decode_query(2, 2, tids=(9, 4))
+    dec = decode_model(q, _model(q, [1, 2, 5]))
+    assert len(dec.trace.states) == 3 and dec.matched_target == 4
 
 
-def test_decode_ignores_markers_past_a_broken_path():
-    sys, q = _decode_query()
-    model = _model(q, [0, 3, 5], **{"tgt1@@2": True, "viol@@3": True})
-    model["path@@2"] = False
-    model["path@@3"] = False
-    with pytest.raises(ProtocolError, match="no fired marker"):
+def test_decode_matches_a_target_on_the_declared_variables():
+    # as tgt1@@i does: a binding the system does not declare is ignored
+    extra = State({"x": 3, "zz": 1})
+    q = encode_extended_base_case(_JUMPS, 4, [Target(extra, Trace((extra,), ()), 1, 1)])
+    dec = decode_model(q, _model(q, [1, 3, 5]))
+    assert len(dec.trace.states) == 3 and dec.matched_target == 1
+
+
+def test_decode_rejects_a_path_that_hits_nothing():
+    q = _decode_query(3)
+    model = _model(q, [1, 3, 5])
+    # the path is now 0, 1, 2, 4; the stale tgt1@@3 and viol@@4 are not read
+    model.update({"x@3": 2, "c@2": 2, "x@4": 4, "c@3": 4})
+    with pytest.raises(ProtocolError, match="hits no violation or target"):
         decode_model(q, model)
-    model["path@@3"] = True  # deeper marker survives on its own path flag
+
+
+def test_decode_of_a_reach_query_builds_no_formula():
+    model = _model(_decode_query(3), [1, 3, 5])
+    q = _decode_query(3)
     dec = decode_model(q, model)
-    assert len(dec.trace.states) == 3 and dec.trace.violated_prop == "below_limit"
-
-
-def test_decode_rejects_viol_marker_without_violation():
-    sys, q = _decode_query()
-    model = _model(q, [0, 0, 0], **{"viol@@2": True})
-    with pytest.raises(ProtocolError, match="violates no property"):
-        decode_model(q, model)
+    assert len(dec.trace.states) == 3 and dec.matched_target == 1
+    assert "_formula" not in vars(q)
 
 
 def test_decode_rejects_missing_state_value():
-    sys, q = _decode_query()
-    model = _model(q, [0, 0, 5], **{"viol@@3": True})
+    q = _decode_query(3)
+    model = _model(q, [1, 2, 5])
     del model["x@2"]
     with pytest.raises(ProtocolError, match="no value for x@2"):
         decode_model(q, model)
