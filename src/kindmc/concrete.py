@@ -557,8 +557,9 @@ class _ExactChain(_Chain):
     that last_rows (which may leave out states that cannot be goals, but
     keeps each row's order) offers from layer k - 1. For fixed roots and
     goal the answer at each depth is a fact of the system, so it is kept
-    per depth, as a path of tuples. A one-state path is the first goal
-    among singles."""
+    per depth, and every query at that depth gets the kept path itself:
+    its callers read it and never change it. A one-state path is the first
+    goal among singles."""
 
     __slots__ = ("_last_rows", "_goal", "_singles", "_paths")
 
@@ -575,23 +576,22 @@ class _ExactChain(_Chain):
         self._last_rows = last_rows
         self._goal = goal
         self._singles = singles
-        self._paths: dict[int, Optional[tuple[tuple, tuple]]] = {}
+        self._paths: dict[int, Optional[Path]] = {}
 
     def path(self, k: int) -> Optional[Path]:
         """The first path of exactly k states from a root to a goal, or
-        None."""
+        None. It is the kept path, the same lists on every call."""
         with self._lock:
             if k not in self._paths:
                 self._paths[k] = self._find(k)
-            hit = self._paths[k]
-        return None if hit is None else (list(hit[0]), list(hit[1]))
+            return self._paths[k]
 
-    def _find(self, k: int) -> Optional[tuple[tuple, tuple]]:
+    def _find(self, k: int) -> Optional[Path]:
         ex = self._ex()
         goal = self._goal(ex)
         if k == 1:
             hit = next(filter(goal, self._singles(ex)), None)
-            return None if hit is None else ((hit,), ())
+            return None if hit is None else ([hit], [])
         if self._grow(k - 1) < k - 1 or not self.layers[k - 2]:
             return None
         layer, row = self.layers[k - 2], self._last_rows.__getitem__
@@ -600,8 +600,7 @@ class _ExactChain(_Chain):
             return None
         # its first parent: a second scan of filled rows, at C speed
         parent = next(compress(layer, map(contains, map(row, layer), repeat(hit))))
-        states, inputs = _rebuild(ex, hit, parent, self.layers[: k - 1])
-        return tuple(states), tuple(inputs)
+        return _rebuild(ex, hit, parent, self.layers[: k - 1])
 
 
 def _rebuild(

@@ -30,7 +30,8 @@ an unsatisfiable answer there never builds a formula. Nor does a
 satisfiable base case there, until its model is read: the backend checks
 the answer's path against the system's semantics and decodes it from the
 path. Target ids must be distinct within a query, since each names its
-definitions.
+definitions, and each target's first state binds exactly the system's
+state variables, so that every backend matches it alike.
 
 Formulas are assembled from shared timed subterms: timed(trans, i),
 timed(init, 1), timed(halt, k), and the property conjunction phi and its
@@ -48,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import ir
 from .errors import InternalError
@@ -73,16 +74,62 @@ class TimedVar:
         return f"{self.base}@{self.step}"
 
 
-@dataclass(frozen=True)
 class Target:
     """A reachability goal harvested from an inductive-step counterexample:
     first_state is the state the bad suffix starts from, suffix the whole
-    path (with its inputs) to the property violation."""
+    path (with its inputs) to the property violation.
 
-    first_state: State
-    suffix: "ir.Trace"
-    born_at_k: int
-    tid: int
+    A base case reads only first_state. So the engine makes a target with
+    `on_read`, from its first state and a function that builds the suffix:
+    the suffix is built on its first read, then kept. Equality, hashing
+    and repr are over (first_state, suffix, born_at_k, tid), as for the
+    frozen dataclass this class replaced, so they read the suffix.
+
+    `_checked` is the state_vars of the system whose variables first_state
+    was last found to bind, so that an engine, which hands every query all
+    its targets, has each checked once per system."""
+
+    __slots__ = ("first_state", "born_at_k", "tid", "_suffix", "_build", "_checked")
+
+    def __init__(self, first_state: State, suffix: "ir.Trace", born_at_k: int, tid: int) -> None:
+        self.first_state = first_state
+        self.born_at_k = born_at_k
+        self.tid = tid
+        self._suffix = suffix
+        self._build: Optional[Callable[[], "ir.Trace"]] = None
+        self._checked: Optional[tuple] = None
+
+    @classmethod
+    def on_read(
+        cls, first_state: State, build: Callable[[], "ir.Trace"], born_at_k: int, tid: int
+    ) -> "Target":
+        t = cls(first_state, None, born_at_k, tid)  # type: ignore[arg-type]
+        t._build = build
+        return t
+
+    @property
+    def suffix(self) -> "ir.Trace":
+        if self._build is not None:
+            self._suffix = self._build()
+            self._build = None
+        return self._suffix
+
+    def _key(self) -> tuple:
+        return (self.first_state, self.suffix, self.born_at_k, self.tid)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Target(first_state={self.first_state!r}, suffix={self.suffix!r},"
+            f" born_at_k={self.born_at_k!r}, tid={self.tid!r})"
+        )
 
 
 class _Formula(NamedTuple):
@@ -208,10 +255,18 @@ def encode_extended_base_case(
     include_violations: bool = True,
 ) -> Query:
     _check_k(k)
+    svars = sys.state_vars
     tids: set[int] = set()
     for t in targets:
         if t.tid in tids:
             raise InternalError(f"target id {t.tid} is used by two targets")
+        if t._checked is not svars:
+            declared = tuple(sorted(d.name for d in svars))
+            if t.first_state.names() != declared:
+                raise InternalError(
+                    f"target {t.tid} binds {t.first_state.names()}, system declares {declared}"
+                )
+            t._checked = svars
         tids.add(t.tid)
     return Query(QueryKind.EXTENDED_BASE, k, sys, tuple(targets), include_violations)
 

@@ -18,6 +18,11 @@ base case at iteration k reaches prefixes of up to k states. Both grow by
 one state per iteration, so a bug whose shortest witness has d+1 states
 surfaces around k = d/2 + 1 instead of the d + 1 a plain base case needs.
 
+A base case reads only a target's first state. So with the enum backend
+a target is made from that state alone, and its suffix is decoded from
+the counterexample's checked path when it is first read: by the stitch of
+a matched target, or by a reader of the report's targets.
+
 Declaring a system correct requires the current iteration's base case to
 be conclusively unsatisfiable and no forward or inductive check to have
 ever been inconclusive; anything weaker ends in bound-exhausted with a
@@ -145,6 +150,18 @@ def _decoded(q: Query, v: SolverVerdict) -> DecodedModel:
     return v.decoded if v.decoded is not None else decode_model(q, v.model)
 
 
+def _target(q: Query, v: SolverVerdict, k: int, tid: int) -> Target:
+    """The target of a satisfiable inductive step. When the verdict carries
+    its checked path, the target is made from the path's first state alone,
+    and its suffix is decoded on the first read; otherwise the model is
+    decoded now."""
+    first = v.first_state
+    if first is None:
+        trace = _decoded(q, v).trace
+        return Target(trace.states[0], trace, k, tid)
+    return Target.on_read(first, lambda: v.decoded.trace, k, tid)
+
+
 def run_plain(sys: TransitionSystem, cfg: Optional[EngineConfig] = None) -> VerificationReport:
     return _run(sys, cfg or EngineConfig(), extended=False)
 
@@ -265,11 +282,9 @@ def _run(sys: TransitionSystem, cfg: EngineConfig, extended: bool) -> Verificati
                 " blocks the proof"
             )
         elif extended:
-            dec = _decoded(qi, vi)
-            first = dec.trace.states[0]
-            if first not in first_states:
-                first_states.add(first)
-                t = Target(first, dec.trace, k, len(targets) + 1)
+            t = _target(qi, vi, k, len(targets) + 1)
+            if t.first_state not in first_states:
+                first_states.add(t.first_state)
                 targets.append(t)
                 added = 1
                 if cfg.target_recheck is TargetRecheck.SAME_ITERATION:

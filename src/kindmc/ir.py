@@ -646,30 +646,37 @@ def replay_trace(sys: TransitionSystem, trace: Trace) -> ReplayVerdict:
     snames = tuple(sorted(v.name for v in svars))
     inames = tuple(sorted(v.name for v in ivars))
     sorts = {v.name: v.sort for v in sys.vars}
+    # each State once as a dict: a State looks a name up by a linear scan
+    states: list[dict[str, Value]] = []
+    inputs: list[dict[str, Value]] = []
     try:
         for i, st in enumerate(trace.states):
             if st.names() != snames:
                 return ReplayVerdict(False, f"state {i} binds {st.names()}, expected {snames}", i)
+            values = st.as_dict()
             for n in snames:
-                if not sorts[n].contains(st[n]):
-                    return ReplayVerdict(False, f"state {i}: {n}={st[n]!r} out of range", i)
+                if not sorts[n].contains(values[n]):
+                    return ReplayVerdict(False, f"state {i}: {n}={values[n]!r} out of range", i)
+            states.append(values)
         for i, iv in enumerate(trace.inputs):
             if iv.names() != inames:
                 return ReplayVerdict(False, f"inputs {i} bind {iv.names()}, expected {inames}", i)
+            values = iv.as_dict()
             for n in inames:
-                if not sorts[n].contains(iv[n]):
-                    return ReplayVerdict(False, f"inputs {i}: {n}={iv[n]!r} out of range", i)
-        if not eval_expr(sys.init, trace.states[0]):
+                if not sorts[n].contains(values[n]):
+                    return ReplayVerdict(False, f"inputs {i}: {n}={values[n]!r} out of range", i)
+            inputs.append(values)
+        if not eval_expr(sys.init, states[0]):
             return ReplayVerdict(False, "state 0 does not satisfy init", 0)
-        for i in range(len(trace.states) - 1):
-            if not eval_expr(sys.trans, trace.states[i], trace.inputs[i], trace.states[i + 1]):
+        for i in range(len(states) - 1):
+            if not eval_expr(sys.trans, states[i], inputs[i], states[i + 1]):
                 return ReplayVerdict(False, f"step {i} -> {i + 1} does not satisfy trans", i)
         if trace.violated_prop is not None:
             match = [p for p in sys.props if p.name == trace.violated_prop]
             if not match:
                 return ReplayVerdict(False, f"unknown property {trace.violated_prop!r}")
-            last = len(trace.states) - 1
-            if eval_expr(match[0].expr, trace.states[last]):
+            last = len(states) - 1
+            if eval_expr(match[0].expr, states[last]):
                 return ReplayVerdict(
                     False, f"property {trace.violated_prop} holds at final state", last
                 )

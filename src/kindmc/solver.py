@@ -16,7 +16,8 @@ Two backends:
             needed, and the exact chains keep their answer per depth. A
             forward or inductive formula depends on the system and k alone,
             so its model, once assembled and re-checked, is kept on the
-            executor too, and each caller gets a copy. The executor is held
+            executor too, and each caller gets a copy when it first reads
+            the verdict's model. The executor is held
             in an ir.per_system slot, so every session that queries the
             same system object, such as the two engines of a `compare`,
             shares its rows, layers, answers and checked models. Systems
@@ -42,6 +43,14 @@ formula, is built and re-checked only on the first read of `model`, so
 the engine, which reads the decoded answer, builds neither. For the
 built-in backend a failed check is a bug and raises, and the model is not
 kept; for an external process it downgrades the answer to unknown.
+
+A satisfiable inductive answer of the enum backend also carries the path
+its kept, checked model was assembled from. Its decoded answer is built
+from that path on the first read of `decoded`, by the rule decode_model
+applies to the model, and `first_state` builds the path's first state
+alone. The extended engine makes each target from that state and reads
+the rest only when the target's suffix is read; the plain engine reads
+neither.
 
 A base-case answer is decided by its path alone, in one place
 (_first_hit): the first state that violates a property or equals a
@@ -81,11 +90,16 @@ class SolverStatus(Enum):
 
 
 class SolverVerdict:
-    """A solver's answer. A satisfiable reach answer of the enum backend
-    also carries `decoded`, its checked answer, and builds its `model` on
-    the first read, with `assemble`."""
+    """A solver's answer. A satisfiable answer of the enum backend builds
+    its `model` on the first read, with `assemble`. A reach answer also
+    carries `decoded`, its checked answer. An inductive answer carries its
+    checked path instead, `path` = (query, state names, input names,
+    (states, inputs)) with value tuples in the order of the names, and
+    builds `decoded` from it on the first read; `first_state` builds the
+    path's first state alone. The path holds no executor, so an unread
+    answer keeps no search state alive."""
 
-    __slots__ = ("status", "diagnostic", "decoded", "_model", "_assemble")
+    __slots__ = ("status", "diagnostic", "_decoded", "_model", "_assemble", "_path")
 
     def __init__(
         self,
@@ -94,12 +108,14 @@ class SolverVerdict:
         diagnostic: str = "",
         decoded: Optional[DecodedModel] = None,
         assemble: Optional[Callable[[], Model]] = None,
+        path: Optional[tuple[Query, tuple[str, ...], tuple[str, ...], Path]] = None,
     ) -> None:
         self.status = status
         self.diagnostic = diagnostic
-        self.decoded = decoded
+        self._decoded = decoded
         self._model = model
         self._assemble = assemble
+        self._path = path
 
     @property
     def model(self) -> Optional[Model]:
@@ -108,8 +124,27 @@ class SolverVerdict:
             self._assemble = None
         return self._model
 
+    @property
+    def decoded(self) -> Optional[DecodedModel]:
+        if self._decoded is None and self._path is not None:
+            q, snames, inames, (states, inputs) = self._path
+            self._decoded = _exact_answer(q, _states(snames, states), _states(inames, inputs))
+        return self._decoded
+
+    @property
+    def first_state(self) -> Optional[State]:
+        """The first state of the carried path, or None without one."""
+        if self._path is None:
+            return None
+        _, snames, _, (states, _) = self._path
+        return State(dict(zip(snames, states[0])))
+
     def __repr__(self) -> str:
         return f"SolverVerdict({self.status}, diagnostic={self.diagnostic!r})"
+
+
+def _states(names: tuple[str, ...], values: Sequence[tuple]) -> tuple[State, ...]:
+    return tuple(State(dict(zip(names, t))) for t in values)
 
 
 @dataclass(frozen=True)
@@ -173,21 +208,27 @@ class Solver:
         if q.system.state_bits + q.system.input_bits > ENUM_BIT_CAP:
             return _naive_check(q)
         ex = _executor(q.system)
+        path = _search(ex, q)
+        if path is None:
+            return SolverVerdict(SolverStatus.UNSAT)
+        if q.kind not in _EXACT:
+            return SolverVerdict(
+                SolverStatus.SAT,
+                decoded=_reach_answer(q, ex, *path),
+                assemble=lambda: _assemble_model(q, ex, *path),
+            )
         key = (q.kind, q.k)
         model = ex.models.get(key)
         if model is None:
-            path = _search(ex, q)
-            if path is None:
-                return SolverVerdict(SolverStatus.UNSAT)
-            if q.kind not in _EXACT:
-                return SolverVerdict(
-                    SolverStatus.SAT,
-                    decoded=_reach_answer(q, ex, *path),
-                    assemble=lambda: _assemble_model(q, ex, *path),
-                )
             # a checked model of such a formula is a fact of the system
             model = ex.models[key] = _assemble_model(q, ex, *path)
-        return SolverVerdict(SolverStatus.SAT, dict(model))
+        if q.kind is QueryKind.INDUCTIVE:
+            return SolverVerdict(
+                SolverStatus.SAT,
+                assemble=model.copy,
+                path=(q, ex.state_names, ex.input_names, path),
+            )
+        return SolverVerdict(SolverStatus.SAT, assemble=model.copy)
 
 
 def _search(ex: SystemExecutor, q: Query) -> Optional[Path]:
@@ -505,6 +546,12 @@ def decode_model(q: Query, model: Model) -> DecodedModel:
             raise ProtocolError("satisfiable base case, but its path hits no violation or target")
         n, violated, tid = hit
         return DecodedModel(Trace(states[:n], inputs[: n - 1], violated), tid)
+    return _exact_answer(q, states, inputs)
+
+
+def _exact_answer(q: Query, states: tuple[State, ...], inputs: tuple[State, ...]) -> DecodedModel:
+    """A forward or inductive answer: its full k-state path, ending, for
+    the inductive step, in the first property false at its last state."""
     if q.kind is QueryKind.INDUCTIVE:
         violated = _first_false_prop(q, states[-1])
         if violated is None:

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import kindmc.engine as engine_mod
+import kindmc.solver as solver_mod
 from kindmc import ir
-from kindmc.encoder import Target
+from kindmc.encoder import Target, encode_inductive_step
 from kindmc.engine import (
     ComparisonRecord,
     EngineConfig,
@@ -30,10 +31,18 @@ from kindmc.engine import (
     stitch,
 )
 from kindmc.errors import ConfigError, DiscrepancyError, InternalError
-from kindmc.frontend import accumulator, chain_bug, diamond_parity, parse_file
+from kindmc.frontend import accumulator, chain_bug, const_check, diamond_parity, parse_file
 from kindmc.ir import MAX_NESTING, State, Trace, TransitionSystem, replay_trace
-from kindmc.solver import SolverStatus, SolverVerdict, resolve_config
+from kindmc.solver import (
+    Solver,
+    SolverConfig,
+    SolverStatus,
+    SolverVerdict,
+    decode_model,
+    resolve_config,
+)
 
+from randsys import corpus
 from systems import (
     deadlock_chain,
     halt_sink,
@@ -141,6 +150,84 @@ def test_extended_witness_matches_decoded_prefix_plus_suffix():
     assert len(rep.witness.states) == rep.k + len(matched.suffix.states) - 1
     junction = rep.witness.states[rep.k - 1]
     assert junction == matched.first_state
+
+
+# ---------------------------------------------------------------------------
+# Targets are made from their first state; suffixes are built on read
+
+
+def _target_systems():
+    fixed = [
+        chain_bug(9),
+        const_check(8),
+        diamond_parity(9),
+        diamond_parity(8),
+        accumulator(4, "buggy"),
+        accumulator(4, "safe"),
+        saturating(),
+        halt_sink(),
+        identity_spurious(),
+        moving_halt(),
+        deadlock_chain(),
+        input_chain(6),
+    ]
+    return fixed + corpus(seed=20261023, n=200, max_state_bits=8)
+
+
+def test_a_read_suffix_is_the_decoded_inductive_model():
+    solver, read = Solver(SolverConfig()), 0
+    for sys in _target_systems():
+        free = replace(sys, init=ir.TRUE)
+        for mode in TargetRecheck:
+            rep = run_extended(sys, EngineConfig(max_k=8, target_recheck=mode))
+            for t in rep.targets:
+                q = encode_inductive_step(sys, t.born_at_k)
+                v = solver.check(q)
+                assert v.status is SolverStatus.SAT
+                assert t.suffix == decode_model(q, v.model).trace, (sys.name, t.tid)
+                assert t.suffix.states[0] == t.first_state
+                assert t.suffix.violated_prop is not None
+                assert replay_trace(free, t.suffix), (sys.name, t.tid)
+                read += 1
+    assert read > 100
+
+
+def test_an_extended_run_that_matches_no_target_builds_no_suffix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a suffix was built")
+
+    unmatched = 0
+    for sys in _target_systems():
+        for mode in TargetRecheck:
+            cfg = EngineConfig(max_k=8, target_recheck=mode)
+            ref = run_extended(sys, cfg)
+            if ref.matched_target_id is not None or not ref.targets:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(solver_mod, "_exact_answer", refuse)
+                rep = run_extended(sys, cfg)
+                with pytest.raises(AssertionError, match="suffix was built"):
+                    rep.targets[0].suffix
+            assert (rep.outcome, rep.k, rep.warnings) == (ref.outcome, ref.k, ref.warnings)
+            assert rep.targets == ref.targets
+            unmatched += 1
+    assert unmatched > 20
+
+
+def test_hand_built_and_engine_built_targets_compare_and_hash_alike():
+    for sys in (chain_bug(9), diamond_parity(8), accumulator(4, "safe")):
+        made = run_extended(sys).targets
+        hand = [
+            Target(t.first_state, t.suffix, t.born_at_k, t.tid)
+            for t in run_extended(sys).targets
+        ]
+        assert made and len(made) == len(hand)
+        for m, h in zip(made, hand):
+            assert hash(m) == hash(h) and m == h and h == m
+            assert repr(m) == repr(h)
+            assert m != Target(h.first_state, h.suffix, h.born_at_k, h.tid + 1)
+            assert m != (m.first_state, m.suffix, m.born_at_k, m.tid)
+        assert set(made) == set(hand)
 
 
 # ---------------------------------------------------------------------------

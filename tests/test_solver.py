@@ -15,6 +15,7 @@ from kindmc import ir
 from kindmc import solver as solver_mod
 from kindmc.concrete import SystemExecutor, _domain
 from kindmc.encoder import (
+    Query,
     QueryKind,
     Target,
     encode_base_case,
@@ -533,11 +534,28 @@ def test_decode_prefers_violations_over_targets_at_same_depth():
 
 
 def test_decode_matches_a_target_on_the_declared_variables():
-    # as tgt1@@i does: a binding the system does not declare is ignored
+    # as tgt1@@i does: a binding the system does not declare is ignored.
+    # encode_extended_base_case refuses such a target, so the query is
+    # built directly.
     extra = State({"x": 3, "zz": 1})
-    q = encode_extended_base_case(_JUMPS, 4, [Target(extra, Trace((extra,), ()), 1, 1)])
+    q = Query(QueryKind.EXTENDED_BASE, 4, _JUMPS, (Target(extra, Trace((extra,), ()), 1, 1),))
     dec = decode_model(q, _model(q, [1, 3, 5]))
     assert len(dec.trace.states) == 3 and dec.matched_target == 1
+
+
+@pytest.mark.parametrize("backend", ["enum", "external"])
+@pytest.mark.parametrize("bindings", [{"x": 3, "zz": 1}, {}], ids=["extra", "missing"])
+def test_a_target_binding_other_names_is_refused_for_every_backend(shim_cmd, backend, bindings):
+    # before, the enum backend raised at check time ("state binds ('x',
+    # 'zz')"), and the external one matched the target on x alone
+    solver = Solver(SolverConfig() if backend == "enum" else _external(shim_cmd))
+    good, bad = State({"x": 3}), State(bindings)
+    kept = Target(good, Trace((good,), ()), 1, 1)
+    assert solver.check(encode_extended_base_case(_JUMPS, 4, [kept])).status is SolverStatus.SAT
+    with pytest.raises(InternalError, match=r"target 2 binds \("):
+        solver.check(
+            encode_extended_base_case(_JUMPS, 4, [kept, Target(bad, Trace((bad,), ()), 1, 2)])
+        )
 
 
 def test_decode_rejects_a_path_that_hits_nothing():
