@@ -18,6 +18,13 @@ discovery order, the good ones among them (those satisfying every
 property), and its first bad one. So no edge is interpreted in Python
 again after its first visit, however many queries walk it.
 
+Only the properties are compiled when an executor is built. Each other
+section is compiled on first use and then kept: init when the initial
+states are first enumerated, the transition relation (its next-state
+definitions and residual) on the first `successors` call, and halt on
+the first read of `halt_fn`. A run whose bug lies in an initial state
+compiles neither trans nor halt.
+
 The initial states and the good states are each computed once, in
 enumeration order, from the definitional conjuncts (= x e) of init and of
 the property conjunction: only the variables these leave free are
@@ -52,9 +59,10 @@ from __future__ import annotations
 import threading
 import weakref
 from bisect import bisect_right
+from functools import cached_property
 from itertools import chain, compress, count, filterfalse, islice, product, repeat
 from operator import contains, itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InternalError
 from .ir import (
@@ -178,6 +186,15 @@ def _as_definition(c: Expr, kind: str) -> Optional[tuple[str, Expr]]:
     return None
 
 
+class _Trans(NamedTuple):
+    """A transition relation as successors reads it, compiled."""
+
+    next_defs: tuple[tuple[int, EvalFn], ...]  # (slot, rhs) in trans order
+    free_next: tuple[int, ...]  # slots no definition fixes
+    free_domains: tuple[Sequence[Value], ...]  # their domains
+    residual: tuple[EvalFn, ...]
+
+
 class SystemExecutor:
     """Memoized concrete semantics for one system.
 
@@ -204,19 +221,6 @@ class SystemExecutor:
             product(*(_domain(v.sort) for v in self.input_decls))
         )
 
-        defs, residual = self._split_trans()
-        self._next_defs = tuple(
-            (self._state_slots[name], compile_expr(rhs, self._step_slots))
-            for name, rhs in defs
-        )
-        self._free_next = tuple(
-            i for i, n in enumerate(self.state_names) if n not in dict(defs)
-        )
-        self._residual = tuple(
-            compile_expr(c, self._step_slots, self._state_slots) for c in residual
-        )
-
-        self.halt_fn: EvalFn = compile_expr(sys.halt, self._state_slots)
         self.prop_fns: tuple[tuple[str, EvalFn], ...] = tuple(
             (p.name, compile_expr(p.expr, self._state_slots)) for p in sys.props
         )
@@ -226,6 +230,7 @@ class SystemExecutor:
         self._good: Optional[tuple[tuple, ...]] = None
         self._good_set: frozenset[tuple] = frozenset()
         self._tuples: dict[State, tuple] = {}
+        self._targets: dict[int, tuple[object, tuple]] = {}  # id -> (target, tuple)
         # checked models of answers that are facts of the system, kept by
         # the solver: (query kind, k) -> model
         self.models: dict[tuple, dict[str, Value]] = {}
@@ -252,20 +257,36 @@ class SystemExecutor:
             SystemExecutor.all_states,
         )
 
-    # -- structure extraction
+    # -- sections compiled on first use
 
-    def _split_trans(self) -> tuple[list[tuple[str, Expr]], list[Expr]]:
-        defs: list[tuple[str, Expr]] = []
-        have: set[str] = set()
+    @cached_property
+    def halt_fn(self) -> EvalFn:
+        return compile_expr(self.system.halt, self._state_slots)
+
+    @cached_property
+    def _trans(self) -> _Trans:
+        """The transition relation, split into next-state definitions and a
+        residual predicate, compiled."""
+        defs: dict[str, Expr] = {}
         residual: list[Expr] = []
         for c in _flatten_and(self.system.trans):
             d = _as_definition(c, "next")
-            if d is not None and d[0] not in have:
-                have.add(d[0])
-                defs.append(d)
+            if d is not None and d[0] not in defs:
+                defs[d[0]] = d[1]
             else:
                 residual.append(c)
-        return defs, residual
+        free = tuple(i for i, n in enumerate(self.state_names) if n not in defs)
+        return _Trans(
+            tuple(
+                (self._state_slots[n], compile_expr(rhs, self._step_slots))
+                for n, rhs in defs.items()
+            ),
+            free,
+            tuple(self._state_domains[i] for i in free),
+            tuple(compile_expr(c, self._step_slots, self._state_slots) for c in residual),
+        )
+
+    # -- structure extraction
 
     def _split_defs(self, e: Expr) -> tuple[list[tuple[str, Expr]], list[str]]:
         """Topologically ordered definitional conjuncts (= x rhs) of e, and
@@ -336,17 +357,17 @@ class SystemExecutor:
         if hit is not None:
             return hit
         out: list[tuple[tuple, tuple]] = []
-        free_domains = [self._state_domains[i] for i in self._free_next]
+        next_defs, free_next, free_domains, residual = self._trans
         for u in self._input_space:
             env = s + u
             base: list[Value] = list(s)
-            for pos, fn in self._next_defs:
+            for pos, fn in next_defs:
                 base[pos] = fn(env)
             for combo in product(*free_domains) if free_domains else (tuple(),):
-                for pos, v in zip(self._free_next, combo):
+                for pos, v in zip(free_next, combo):
                     base[pos] = v
                 nxt = tuple(base)
-                if all(fn(env, nxt) for fn in self._residual):
+                if all(fn(env, nxt) for fn in residual):
                     out.append((u, nxt))
         result = tuple(out)
         self._succ_memo[s] = result
@@ -386,9 +407,19 @@ class SystemExecutor:
     def input_obj(self, t: tuple) -> State:
         return State(dict(zip(self.input_names, t)))
 
+    def target_tuple(self, target) -> tuple:
+        """The value tuple of a target's first state, found once per target
+        and executor. Targets are keyed by identity, since a target
+        compares by value and reads its suffix to do so, and each is held
+        here, so its id is not reused while it is a key."""
+        hit = self._targets.get(id(target))
+        if hit is None:
+            hit = self._targets[id(target)] = (target, self.state_tuple(target.first_state))
+        return hit[1]
+
     def state_tuple(self, st: State) -> tuple:
-        """The value tuple of a state; memoised, since every extended base
-        case asks again for each target's first state."""
+        """The value tuple of a state, memoised. Base cases look their
+        targets up through target_tuple, which asks once per target."""
         t = self._tuples.get(st)
         if t is None:
             if st.names() != tuple(sorted(self.state_names)):

@@ -23,6 +23,11 @@ a target is made from that state alone, and its suffix is decoded from
 the counterexample's checked path when it is first read: by the stitch of
 a matched target, or by a reader of the report's targets.
 
+Every reported witness is replayed once against the system (with
+EngineConfig.validate, the default). The engine replays it through this
+module's `replay_trace`, except an unstitched enum answer, whose trace
+the solver replayed on this very system object already.
+
 Declaring a system correct requires the current iteration's base case to
 be conclusively unsatisfiable and no forward or inductive check to have
 ever been inconclusive; anything weaker ends in bound-exhausted with a
@@ -218,12 +223,15 @@ def _run(sys: TransitionSystem, cfg: EngineConfig, extended: bool) -> Verificati
         )
 
     def bug_witness(dec: DecodedModel) -> tuple[Trace, Optional[int]]:
+        """The witness of a satisfiable base case, replayed once: here,
+        unless it is the decoded trace itself and the solver replayed that
+        on this system already (an unstitched enum answer)."""
         if dec.matched_target is None:
             witness = dec.trace
         else:
             # tids are 1, 2, ... in the order targets are appended
             witness = stitch(dec.trace, targets[dec.matched_target - 1])
-        if cfg.validate:
+        if cfg.validate and not (witness is dec.trace and dec.replayed_on is sys):
             verdict = replay_trace(sys, witness)
             if not verdict:
                 raise InternalError(

@@ -15,6 +15,12 @@ a no-break space too, belongs to an atom. `;` starts a comment that runs to
 the next LF or to the end of the input. Error positions count lines by LF
 and columns by character, so a tab or a CR is one column.
 
+The reader splits the text into token strings with one regex call and
+builds the tree in one loop over them. A node keeps its source and the
+index of its first token, not a position: line and column are computed
+only when an error asks for them, from where each token and each line
+starts, worked out once per source on that first request.
+
 Sections may appear in any order; var/input/prop repeat, init/trans/halt
 appear exactly once. Decimal integer literals take their width from
 context (the other operand or the expected sort); where no context exists
@@ -26,6 +32,7 @@ appear; the encoder uses it for timed variable names).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -48,53 +55,84 @@ from .ir import (
 # Reader
 
 
-@dataclass
-class SNode:
-    """An s-expression node with its source position."""
+class _Source:
+    """A text being read. Where each token starts, and where each line
+    starts, is worked out only when an error first asks for a position."""
 
-    line: int
-    col: int
-    text: Optional[str] = None
-    items: Optional[list["SNode"]] = None
+    __slots__ = ("text", "_starts", "_lines")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self._starts: list[int] = []
+        self._lines: list[int] = []
+
+    def position(self, index: int) -> tuple[int, int]:
+        """The 1-based line and column of token `index`."""
+        if not self._lines:
+            text = self.text
+            self._starts = [m.start() for m in _TOKEN.finditer(text)]
+            self._lines = [0] + [m.end() for m in _LF.finditer(text)]
+        at = self._starts[index]
+        line = bisect_right(self._lines, at)
+        return line, at - self._lines[line - 1] + 1
+
+
+class SNode:
+    """An s-expression node: an atom's text or a list's items, and the
+    index of its first token in its source, from which `line` and `col`
+    are computed when read."""
+
+    __slots__ = ("text", "items", "source", "index")
+
+    def __init__(
+        self, text: Optional[str], items: Optional[list["SNode"]], source: _Source, index: int
+    ) -> None:
+        self.text = text
+        self.items = items
+        self.source = source
+        self.index = index
 
     @property
     def is_atom(self) -> bool:
         return self.text is not None
 
+    @property
+    def line(self) -> int:
+        return self.source.position(self.index)[0]
 
-# A line feed (counted for positions), a comment, an atom or a paren;
-# finditer skips the spaces, tabs and CRs between them.
-_TOKEN = re.compile(r"\n|;[^\n]*|[^() \t\r\n;]+|[()]")
+    @property
+    def col(self) -> int:
+        return self.source.position(self.index)[1]
+
+
+# A comment, an atom or a paren; findall skips the whitespace between them.
+_TOKEN = re.compile(r";[^\n]*|[^() \t\r\n;]+|[()]")
+_LF = re.compile(r"\n")
 
 
 def _read(src: str) -> list[SNode]:
     """S-expressions at most MAX_NESTING deep, so no recursive pass overruns the stack."""
+    source = _Source(src)
     forms: list[SNode] = []
     open_lists: list[SNode] = []
     items = forms
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(src):
-        tok = m.group()
-        if tok == "\n":
-            line, line_start = line + 1, m.end()
-            continue
-        if tok[0] == ";":
-            continue
-        col = m.start() - line_start + 1
+    for i, tok in enumerate(_TOKEN.findall(src)):
         if tok == "(":
             if len(open_lists) == MAX_NESTING:
-                raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", line, col)
-            node = SNode(line, col, items=[])
+                raise ParseError(
+                    f"expression nested deeper than {MAX_NESTING} levels", *source.position(i)
+                )
+            node = SNode(None, [], source, i)
             items.append(node)
             open_lists.append(node)
             items = node.items
         elif tok == ")":
             if not open_lists:
-                raise ParseError("unexpected ')'", line, col)
+                raise ParseError("unexpected ')'", *source.position(i))
             open_lists.pop()
             items = open_lists[-1].items if open_lists else forms
-        else:
-            items.append(SNode(line, col, text=tok))
+        elif tok[0] != ";":
+            items.append(SNode(tok, None, source, i))
     if open_lists:
         raise ParseError("unclosed '('", open_lists[-1].line, open_lists[-1].col)
     return forms
@@ -118,8 +156,9 @@ class _AmbiguousLiteral(ParseError):
 
 @dataclass
 class _Env:
-    state: dict[str, Sort]
-    inputs: dict[str, Sort]
+    # name -> the variable's reference, one object per declaration
+    state: dict[str, Expr]
+    inputs: dict[str, Expr]
     allow_next: bool
     allow_input: bool
     where: str
@@ -148,7 +187,7 @@ def _elab_sort(node: SNode) -> Sort:
 
 
 def _expect_sort(e: Expr, expected: Optional[Sort], node: SNode) -> Expr:
-    if expected is not None and e.sort != expected:
+    if expected is not None and e.sort is not expected and e.sort != expected:
         raise ParseError(
             f"sort error: expression has sort {e.sort}, expected {expected}",
             node.line,
@@ -171,12 +210,23 @@ def _elab_pair(
 
 
 def _elab(node: SNode, env: _Env, expected: Optional[Sort]) -> Expr:
-    if node.is_atom:
-        text = node.text or ""
+    text = node.text
+    if text is not None:
         if text == "true":
             return _expect_sort(ir.TRUE, expected, node)
         if text == "false":
             return _expect_sort(ir.FALSE, expected, node)
+        # a declared name before the literals, which never look like one
+        if text in env.state:
+            return _expect_sort(env.state[text], expected, node)
+        if text in env.inputs:
+            if not env.allow_input:
+                raise ParseError(
+                    f"input variable {text!r} not allowed in {env.where}",
+                    node.line,
+                    node.col,
+                )
+            return _expect_sort(env.inputs[text], expected, node)
         if _DEC_RE.match(text):
             if expected is None:
                 raise _AmbiguousLiteral(node)
@@ -196,16 +246,6 @@ def _elab(node: SNode, env: _Env, expected: Optional[Sort]) -> Expr:
         if _BIN_RE.match(text):
             sort = _bv_sort(len(text) - 2, node)
             return _expect_sort(ir.const(int(text[2:], 2), sort), expected, node)
-        if text in env.state:
-            return _expect_sort(ir.var(text, env.state[text]), expected, node)
-        if text in env.inputs:
-            if not env.allow_input:
-                raise ParseError(
-                    f"input variable {text!r} not allowed in {env.where}",
-                    node.line,
-                    node.col,
-                )
-            return _expect_sort(ir.var(text, env.inputs[text]), expected, node)
         raise ParseError(f"undeclared variable {text!r}", node.line, node.col)
 
     items = node.items or []
@@ -227,7 +267,7 @@ def _elab(node: SNode, env: _Env, expected: Optional[Sort]) -> Expr:
             raise ParseError(
                 f"next({name}) does not name a state variable", ref.line, ref.col
             )
-        return _expect_sort(ir.next_var(name, env.state[name]), expected, node)
+        return _expect_sort(ir.next_var(name, env.state[name].sort), expected, node)
     if op not in _OPERATORS:
         raise ParseError(f"unknown operator {op!r}", node.line, node.col)
     count, kind, build = _OPERATORS[op]
@@ -299,10 +339,8 @@ def parse(text: str, name: str = "system") -> TransitionSystem:
     """Parse .kts source text into a validated TransitionSystem."""
     forms = _read(text)
     if len(forms) != 1:
-        pos = forms[1] if len(forms) > 1 else SNode(1, 1, text="")
-        raise ParseError(
-            f"expected exactly one (system ...) form, got {len(forms)}", pos.line, pos.col
-        )
+        line, col = (forms[1].line, forms[1].col) if forms else (1, 1)
+        raise ParseError(f"expected exactly one (system ...) form, got {len(forms)}", line, col)
     top = forms[0]
     if top.is_atom or not top.items or not top.items[0].is_atom or top.items[0].text != "system":
         raise ParseError("expected (system ...)", top.line, top.col)
@@ -361,8 +399,8 @@ def parse(text: str, name: str = "system") -> TransitionSystem:
     if not any(d.role is VarRole.STATE for d in decls):
         raise ParseError("a system needs at least one state variable", top.line, top.col)
 
-    state = {d.name: d.sort for d in decls if d.role is VarRole.STATE}
-    inputs = {d.name: d.sort for d in decls if d.role is VarRole.INPUT}
+    state = {d.name: ir.var(d.name, d.sort) for d in decls if d.role is VarRole.STATE}
+    inputs = {d.name: ir.var(d.name, d.sort) for d in decls if d.role is VarRole.INPUT}
 
     init = _elab(single["init"], _Env(state, inputs, False, False, "init"), BOOL)
     trans = _elab(single["trans"], _Env(state, inputs, True, True, "trans"), BOOL)

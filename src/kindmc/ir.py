@@ -68,9 +68,16 @@ BOOL = Sort(0)
 
 
 def bitvec(width: int) -> Sort:
+    """The bit-vector sort of the given width: one shared object per width,
+    so sorts compare by identity first."""
     if width < 1:
         raise SortError(f"bit-vector width must be at least 1, got {width}")
-    return Sort(width)
+    if width <= MAX_WIDTH:
+        return _BITVECS[width]
+    return Sort(width)  # raises
+
+
+_BITVECS = tuple(Sort(w) for w in range(MAX_WIDTH + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +283,6 @@ def walk(e: Expr) -> Iterator[Expr]:
             stack.extend(n.args[::-1])
 
 
-def depth(e: Expr) -> int:
-    """Nodes on the longest path from e down to a leaf, counted a level at a
-    time without recursion."""
-    d = 0
-    level = [e]
-    while level:
-        d += 1
-        level = [a for n in level for a in n.args]
-    return d
-
-
 def free_names(e: Expr) -> set[str]:
     """Names of plain (non-next) variable references."""
     return {n.name for n in walk(e) if n.op == "var"}
@@ -407,8 +403,40 @@ class TransitionSystem:
         allow_input: bool,
         allow_next: bool,
     ) -> None:
-        if depth(e) > MAX_NESTING:
-            raise ValidationError(f"{where} is nested deeper than {MAX_NESTING} levels")
+        """Check e's nesting bound and its variable references in one walk,
+        a level at a time and without recursion. A nesting error comes
+        before any reference error; a bad reference is then reported by
+        _check_refs, which meets the first one in pre-order."""
+        plain = {**state, **inputs} if allow_input else state
+        nexts = state if allow_next else {}
+        leaves: list[Expr] = []
+        level, d = [e], 0
+        while level:
+            d += 1
+            if d > MAX_NESTING:
+                raise ValidationError(f"{where} is nested deeper than {MAX_NESTING} levels")
+            leaves += [n for n in level if not n.args]
+            level = [a for n in level for a in n.args]
+        for n in leaves:
+            op = n.op
+            if op == "var":
+                if plain.get(n.name) != n.sort:
+                    break
+            elif op == "next" and nexts.get(n.name) != n.sort:
+                break
+        else:
+            return
+        self._check_refs(e, where, state, inputs, allow_input, allow_next)
+
+    @staticmethod
+    def _check_refs(
+        e: Expr,
+        where: str,
+        state: Mapping[str, Sort],
+        inputs: Mapping[str, Sort],
+        allow_input: bool,
+        allow_next: bool,
+    ) -> None:
         for n in walk(e):
             if n.op == "var":
                 if n.name in state:

@@ -38,11 +38,15 @@ the equal formula of the query that first found it. A satisfiable base,
 extended-base or target-recheck answer of the enum backend is checked
 against the system's semantics instead, and comes already decoded
 (SolverVerdict.decoded): its path replays through ir.replay_trace from an
-initial state and ends at a goal of the query. Its model, and with it the
-formula, is built and re-checked only on the first read of `model`, so
-the engine, which reads the decoded answer, builds neither. For the
-built-in backend a failed check is a bug and raises, and the model is not
-kept; for an external process it downgrades the answer to unknown.
+initial state and ends at a goal of the query. The decoded answer names
+the system object its trace was replayed on (DecodedModel.replayed_on),
+and that replay stands for the engine's own when the trace is reported
+as it is; a witness stitched from it is replayed again by the engine.
+Its model, and with it the formula, is built and re-checked only on the
+first read of `model`, so the engine, which reads the decoded answer,
+builds neither. For the built-in backend a failed check is a bug and
+raises, and the model is not kept; for an external process it downgrades
+the answer to unknown.
 
 A satisfiable inductive answer of the enum backend also carries the path
 its kept, checked model was assembled from. Its decoded answer is built
@@ -64,16 +68,25 @@ from __future__ import annotations
 import os
 import shlex
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .concrete import Path, SystemExecutor, _domain
-from .encoder import Query, QueryKind, serialize_smtlib
+from .encoder import Query, QueryKind, Target, serialize_smtlib
 from .errors import ConfigError, InternalError, ParseError, ProtocolError
 from .frontend import _read
-from .ir import State, Trace, Value, VarDecl, eval_expr, per_system, replay_trace
+from .ir import (
+    State,
+    Trace,
+    TransitionSystem,
+    Value,
+    VarDecl,
+    eval_expr,
+    per_system,
+    replay_trace,
+)
 
 Model = dict[str, Value]
 
@@ -234,7 +247,7 @@ class Solver:
 def _search(ex: SystemExecutor, q: Query) -> Optional[Path]:
     """The concrete path that answers q, or None when there is none."""
     if q.kind in (QueryKind.BASE, QueryKind.EXTENDED_BASE):
-        targets = {ex.state_tuple(t.first_state) for t in q.targets}
+        targets = set(map(ex.target_tuple, q.targets))
         return ex.reach.path(q.k, targets, q.include_violations)
     if q.kind is QueryKind.FORWARD:
         return ex.forward.path(q.k)
@@ -287,7 +300,7 @@ def _reach_answer(
     (naming a property that is false at its end), and it ends at a goal of
     q. A target-recheck path that meets a violation first must replay on to
     a target."""
-    hit = _first_hit(q, states, ex.state_tuple, ex.violated_prop)
+    hit = _first_hit(q, states, ex.target_tuple, ex.violated_prop)
     if hit is None or len(states) > q.k:
         raise InternalError(_recheck_failure(q))
     n, violated, tid = hit
@@ -295,11 +308,11 @@ def _reach_answer(
     trace = Trace(path.states[:n], path.inputs[: n - 1], violated)
     ok = replay_trace(q.system, trace)
     if violated is not None and not q.include_violations:
-        goals = {ex.state_tuple(t.first_state) for t in q.targets}
+        goals = set(map(ex.target_tuple, q.targets))
         ok = ok and states[-1] in goals and replay_trace(q.system, path)
     if not ok:
         raise InternalError(_recheck_failure(q))
-    return DecodedModel(trace, tid)
+    return DecodedModel(trace, tid, replayed_on=q.system)
 
 
 def _recheck_failure(q: Query) -> str:
@@ -475,8 +488,13 @@ def _parse_value(node) -> Optional[Value]:
 
 @dataclass(frozen=True)
 class DecodedModel:
+    """A decoded answer. `replayed_on` is the system object `trace` was
+    replayed on and passed, when the solver replayed it: the enum backend's
+    base-case answers. It takes no part in equality or repr."""
+
     trace: Trace
     matched_target: Optional[int] = None
+    replayed_on: Optional[TransitionSystem] = field(default=None, compare=False, repr=False)
 
 
 def _values_at(decls: Sequence[VarDecl], model: Model, step: int) -> State:
@@ -503,17 +521,17 @@ def _first_false_prop(q: Query, state: State) -> Optional[str]:
 def _first_hit(
     q: Query,
     states: Iterable,
-    key: Callable[[State], Any],
+    key: Callable[[Target], Any],
     violated_prop: Callable[[Any], Optional[str]],
 ) -> Optional[tuple[int, Optional[str], Optional[int]]]:
     """Where a base-case path answers q: at the first of `states` that
-    violates a property or equals a target's first state, given in the form
-    of `states` by `key`. Returns that state's 1-based position, the first
-    false property and the matched tid, or None when no state hits. A
-    violation wins; otherwise the least such tid is matched."""
+    violates a property or equals a target's first state, which `key`
+    gives in the form of `states`. Returns that state's 1-based position,
+    the first false property and the matched tid, or None when no state
+    hits. A violation wins; otherwise the least such tid is matched."""
     tids: dict = {}
     for t in q.targets:
-        s = key(t.first_state)
+        s = key(t)
         tids[s] = min(t.tid, tids.get(s, t.tid))
     for n, s in enumerate(states, 1):
         violated = violated_prop(s)
@@ -539,7 +557,7 @@ def decode_model(q: Query, model: Model) -> DecodedModel:
         hit = _first_hit(
             q,
             states,
-            lambda t: State({d.name: t[d.name] for d in decl}),
+            lambda t: State({d.name: t.first_state[d.name] for d in decl}),
             lambda s: _first_false_prop(q, s),
         )
         if hit is None:

@@ -15,10 +15,12 @@ from sys import getswitchinterval, setswitchinterval
 
 import pytest
 
-from kindmc import ir
+import kindmc.solver as solver_mod
+from kindmc import concrete, ir
 from kindmc.concrete import SystemExecutor, _domain
+from kindmc.engine import Outcome, compare, run_extended, run_plain
 from kindmc.errors import InternalError
-from kindmc.frontend import format_system
+from kindmc.frontend import chain_bug, format_system, parse
 from kindmc.ir import State, eval_expr
 from kindmc.solver import _executor
 
@@ -290,3 +292,60 @@ def test_threads_querying_different_systems_get_their_own_executor():
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
 
+
+# ---------------------------------------------------------------------------
+# Sections compiled on first use
+
+
+def _compiled(monkeypatch) -> list:
+    """The expressions concrete.compile_expr is asked for from now on, not
+    counting its calls for their subexpressions."""
+    seen, nested = [], [0]
+    compile_expr = concrete.compile_expr
+
+    def recording(e, *args):
+        if not nested[0]:
+            seen.append(e)
+        nested[0] += 1
+        try:
+            return compile_expr(e, *args)
+        finally:
+            nested[0] -= 1
+
+    monkeypatch.setattr(concrete, "compile_expr", recording)
+    return seen
+
+
+INIT_BUG = """
+(system
+  (var x (bv 3))
+  (input c (bv 1))
+  (init (= x #b010))
+  (trans (and (= (next x) (bvadd x #b001)) (bvule c #b1)))
+  (prop never_two (not (= x #b010)))
+  (halt (= x #b111)))
+"""
+
+
+def test_a_bug_in_an_initial_state_compiles_no_trans_or_halt(monkeypatch):
+    sys = parse(INIT_BUG)
+    seen = _compiled(monkeypatch)
+    rec = compare(sys)
+    assert rec.plain.k == rec.extended.k == 1 and rec.plain.outcome is Outcome.BUG_FOUND
+    skipped = {id(n) for n in ir.walk(sys.trans)} | {id(n) for n in ir.walk(sys.halt)}
+    assert seen and not [e for e in seen if id(e) in skipped]
+
+
+def test_each_section_is_compiled_once_per_executor(monkeypatch):
+    sys = chain_bug(9)
+    builds = []
+    monkeypatch.setattr(solver_mod, "SystemExecutor", lambda s: builds.append(s) or SystemExecutor(s))
+    seen = _compiled(monkeypatch)
+    rec = compare(sys)
+    reports = [run_plain(sys), run_extended(sys), rec.plain, rec.extended]
+    assert sum(r.solver_calls for r in reports) > 40
+    assert builds == [sys]
+    assert [e for e in seen if e is sys.trans.args[1]] == [sys.trans.args[1]]  # (bvadd x 1)
+    assert [e for e in seen if e is sys.halt] == [sys.halt]
+    ex = _executor(sys)
+    assert ex.halt_fn is ex.halt_fn and ex.halt_fn((3,)) is False

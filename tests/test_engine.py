@@ -34,6 +34,7 @@ from kindmc.errors import ConfigError, DiscrepancyError, InternalError
 from kindmc.frontend import accumulator, chain_bug, const_check, diamond_parity, parse_file
 from kindmc.ir import MAX_NESTING, State, Trace, TransitionSystem, replay_trace
 from kindmc.solver import (
+    DecodedModel,
     Solver,
     SolverConfig,
     SolverStatus,
@@ -449,6 +450,68 @@ def test_witness_validation_catches_bad_models(monkeypatch):
     rep = run_plain(sys, EngineConfig(max_k=1, validate=False))
     assert rep.outcome is Outcome.BUG_FOUND
     assert rep.witness.states[0] == State({"x": 3})
+
+
+# ---------------------------------------------------------------------------
+# Every reported witness is replayed exactly once
+
+
+def _engine_replays(monkeypatch) -> list:
+    """The traces the engine replays from now on, through its module global."""
+    calls = []
+
+    def counting(sys, trace):
+        calls.append(trace)
+        return replay_trace(sys, trace)
+
+    monkeypatch.setattr(engine_mod, "replay_trace", counting)
+    return calls
+
+
+def test_the_engine_replays_stitched_enum_witnesses_only(monkeypatch):
+    # an unstitched enum witness was replayed by the solver, on this system
+    calls = _engine_replays(monkeypatch)
+    stitched = unstitched = 0
+    systems = [chain_bug(9), diamond_parity(7)] + corpus(20261023, 120, max_state_bits=8)
+    for sys in systems:
+        for run_engine in (run_plain, run_extended):
+            before = len(calls)
+            rep = run_engine(sys, EngineConfig(max_k=8))
+            if rep.outcome is not Outcome.BUG_FOUND:
+                assert len(calls) == before
+            elif rep.matched_target_id is None:
+                unstitched += 1
+                assert len(calls) == before
+            else:
+                stitched += 1
+                assert len(calls) == before + 1 and calls[-1] is rep.witness
+    assert stitched >= 2 and unstitched >= 20, (stitched, unstitched)
+
+
+def test_external_and_scripted_witnesses_are_replayed_by_the_engine(monkeypatch, shim_cmd):
+    calls = _engine_replays(monkeypatch)
+    rep = run_plain(chain_bug(3), EngineConfig(solver=resolve_config("external:" + shim_cmd)))
+    assert rep.outcome is Outcome.BUG_FOUND and calls == [rep.witness]
+
+    calls.clear()
+    sys = chain_bug(3)
+    init_bug = replace(sys, props=(ir.Prop("nonzero", ir.not_(sys.init)),))
+    _scripted(monkeypatch, [SolverVerdict(SolverStatus.SAT, {"x@1": 0})])
+    rep = run_plain(init_bug, EngineConfig(max_k=1))
+    assert rep.outcome is Outcome.BUG_FOUND and calls == [rep.witness]
+
+    calls.clear()
+    _scripted(monkeypatch, [SolverVerdict(SolverStatus.SAT, {"x@1": 3})])
+    with pytest.raises(InternalError, match="witness failed replay at index 0"):
+        run_plain(chain_bug(3), EngineConfig(max_k=1))
+    assert len(calls) == 1
+
+
+def test_the_replay_mark_takes_no_part_in_equality_or_repr():
+    t = _tr(0, 1, violated="p")
+    plain, marked = DecodedModel(t, 2), DecodedModel(t, 2, replayed_on=chain_bug(3))
+    assert plain == marked and hash(plain) == hash(marked)
+    assert repr(marked) == repr(plain) == f"DecodedModel(trace={t!r}, matched_target=2)"
 
 
 # ---------------------------------------------------------------------------

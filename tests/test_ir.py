@@ -43,6 +43,9 @@ def test_sort_basics():
     assert BOOL.num_values() == 2
     assert str(b3) == "(bv 3)"
     assert str(BOOL) == "bool"
+    # one object per width, equal to a sort built directly
+    assert bitvec(3) is b3 and bitvec(64) is bitvec(64)
+    assert b3 == ir.Sort(3) and hash(b3) == hash(ir.Sort(3))
 
 
 def test_sort_contains():
@@ -169,18 +172,16 @@ def test_free_and_next_names():
     assert ir.next_names(e) == {"x"}
 
 
-def test_walk_is_preorder_and_depth_counts_nodes():
+def test_walk_is_preorder():
     x = ir.var("x", bitvec(2))
     one = ir.bv_const(1, 2)
     e = ir.and_(ir.eq(x, one), ir.not_(ir.var("go", BOOL)))
     assert [n.op for n in ir.walk(e)] == ["and", "=", "var", "const", "not", "var"]
-    assert ir.depth(x) == 1
-    assert ir.depth(e) == 3
 
 
-def test_walk_and_depth_do_not_recurse():
+def test_walk_does_not_recurse():
+    # validate() counts nesting without recursion too: see the nesting tests
     prop = not_chain(3000)
-    assert ir.depth(prop) == 3000
     assert sum(1 for _ in ir.walk(prop)) == 3000 + 1
 
 
@@ -386,6 +387,24 @@ def test_validate_undeclared_and_sort_mismatch():
     bad = ir.eq(ir.var("x", bitvec(3)), ir.bv_const(0, 3))
     with pytest.raises(SortError, match="declared sort"):
         _sys(init=bad)
+
+
+def test_validate_reports_nesting_first_then_the_first_bad_reference_in_pre_order():
+    w = bitvec(2)
+    ghost, c = ir.var("ghost", BOOL), ir.var("c", BOOL)
+    decls = (VarDecl("x", w, VarRole.STATE), VarDecl("c", BOOL, VarRole.INPUT))
+    # the bad references come before the deep operand, level by level too
+    with pytest.raises(ValidationError, match="init is nested deeper"):
+        _sys(vars=decls, init=ir.and_(ghost, c, not_chain(600)))
+    # pre-order meets ghost first; level by level, c is met first
+    with pytest.raises(ValidationError, match="undeclared variable 'ghost' in init"):
+        _sys(vars=decls, init=ir.and_(ir.not_(ir.not_(ghost)), c))
+    with pytest.raises(ValidationError, match="input variable 'c' referenced in init"):
+        _sys(vars=decls, init=ir.and_(ir.not_(c), ghost))
+    # a sort mismatch is a reference error too
+    x3 = ir.var("x", bitvec(3))
+    with pytest.raises(SortError, match="init: x has declared sort"):
+        _sys(vars=decls, init=ir.and_(ir.not_(ir.eq(x3, x3)), ghost))
 
 
 def test_validate_sections_must_be_boolean():
