@@ -40,9 +40,9 @@ through good states, to a violation (the inductive step). A chain keeps
 its layers, each built from the rows of the one before, so a query at
 depth k adds at most the layers no earlier query needed: one per
 iteration of the engine, not k. The answer of an exact chain at each
-depth is a fact of the system and is kept too, and so is the solver's
-checked model of it (`models`); the shortest-path chain numbers its
-states in discovery order and answers with the goal of least number. A
+depth is a fact of the system: the solver keeps it, with its checked
+model, in `answers`. The shortest-path chain numbers its states in
+discovery order and answers with the goal of least number. A
 layer maps each state to its first parent, the first state of the
 previous layer whose row holds it, so a path is rebuilt, once a goal is
 found, by following these links back to a root. Ties go to the first
@@ -56,7 +56,6 @@ sinks, which a forward-condition proof relies on.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from bisect import bisect_right
 from functools import cached_property
@@ -229,11 +228,10 @@ class SystemExecutor:
         self._initial: Optional[tuple[tuple, ...]] = None
         self._good: Optional[tuple[tuple, ...]] = None
         self._good_set: frozenset[tuple] = frozenset()
-        self._tuples: dict[State, tuple] = {}
         self._targets: dict[int, tuple[object, tuple]] = {}  # id -> (target, tuple)
-        # checked models of answers that are facts of the system, kept by
-        # the solver: (query kind, k) -> model
-        self.models: dict[tuple, dict[str, Value]] = {}
+        # forward and inductive answers, facts of the system, kept by the
+        # solver: (query kind, k) -> None or (path, checked model)
+        self.answers: dict[tuple, Optional[tuple[Path, dict[str, Value]]]] = {}
         self.next_rows = _Rows(self, SystemExecutor._next_row)
         self.good_rows = _Rows(self, SystemExecutor._good_row)
         self.bad_rows = _Rows(self, SystemExecutor._bad_row)
@@ -418,16 +416,12 @@ class SystemExecutor:
         return hit[1]
 
     def state_tuple(self, st: State) -> tuple:
-        """The value tuple of a state, memoised. Base cases look their
-        targets up through target_tuple, which asks once per target."""
-        t = self._tuples.get(st)
-        if t is None:
-            if st.names() != tuple(sorted(self.state_names)):
-                raise InternalError(
-                    f"state binds {st.names()}, system declares {tuple(sorted(self.state_names))}"
-                )
-            t = self._tuples[st] = tuple(st[n] for n in self.state_names)
-        return t
+        """The value tuple of a state that binds exactly the state names."""
+        if st.names() != tuple(sorted(self.state_names)):
+            raise InternalError(
+                f"state binds {st.names()}, system declares {tuple(sorted(self.state_names))}"
+            )
+        return tuple(st[n] for n in self.state_names)
 
     def violated_prop(self, t: tuple) -> Optional[str]:
         """Name of the first declared property false at this state, if any."""
@@ -489,11 +483,9 @@ class _Chain:
     first parent: the first state of layer j - 1 whose row holds it (None
     at a root). Growth stops at the first empty layer.
 
-    The executor is held weakly, as by _Rows. Queries on one chain hold its
-    lock, so sessions in several threads grow it once and read the same
-    layers."""
+    The executor is held weakly, as by _Rows."""
 
-    __slots__ = ("_ex", "_roots", "_rows", "layers", "_lock")
+    __slots__ = ("_ex", "_roots", "_rows", "layers")
 
     def __init__(
         self,
@@ -505,7 +497,6 @@ class _Chain:
         self._roots = roots
         self._rows = rows
         self.layers: list[Layer] = []
-        self._lock = threading.Lock()
 
     def _grow(self, n: int) -> int:
         """Hold n layers, or fewer ending in an empty one; returns how many
@@ -564,35 +555,31 @@ class _ReachChain(_Chain):
         """A shortest path of at most k states from an initial state to a
         target state or, with violations, to a state violating a property;
         ties go to the first state discovered. None when there is none."""
-        with self._lock:
-            n = self._grow(k)
-            index, bound = self._index, self._ends[n - 1]
-            found = [(index[t], t) for t in targets if index.get(t, bound) < bound]
-            if violations:
-                while self._bad is None and self._scanned < n:
-                    layer = self.layers[self._scanned]
-                    self._scanned += 1
-                    self._bad = next(filter(_violating(self._ex()), layer), None)
-                if self._bad is not None and index[self._bad] < bound:
-                    found.append((index[self._bad], self._bad))
-            if not found:
-                return None
-            number, hit = min(found)
-            depth = bisect_right(self._ends, number)
-            return _rebuild(self._ex(), hit, self.layers[depth][hit], self.layers[:depth])
+        n = self._grow(k)
+        index, bound = self._index, self._ends[n - 1]
+        found = [(index[t], t) for t in targets if index.get(t, bound) < bound]
+        if violations:
+            while self._bad is None and self._scanned < n:
+                layer = self.layers[self._scanned]
+                self._scanned += 1
+                self._bad = next(filter(_violating(self._ex()), layer), None)
+            if self._bad is not None and index[self._bad] < bound:
+                found.append((index[self._bad], self._bad))
+        if not found:
+            return None
+        number, hit = min(found)
+        depth = bisect_right(self._ends, number)
+        return _rebuild(self._ex(), hit, self.layers[depth][hit], self.layers[:depth])
 
 
 class _ExactChain(_Chain):
     """Paths of exactly k states: each layer keeps every state reached at
     its depth, and the goal is tested only at depth k, among the states
     that last_rows (which may leave out states that cannot be goals, but
-    keeps each row's order) offers from layer k - 1. For fixed roots and
-    goal the answer at each depth is a fact of the system, so it is kept
-    per depth, and every query at that depth gets the kept path itself:
-    its callers read it and never change it. A one-state path is the first
-    goal among singles."""
+    keeps each row's order) offers from layer k - 1. A one-state path is
+    the first goal among singles."""
 
-    __slots__ = ("_last_rows", "_goal", "_singles", "_paths")
+    __slots__ = ("_last_rows", "_goal", "_singles")
 
     def __init__(
         self,
@@ -607,17 +594,10 @@ class _ExactChain(_Chain):
         self._last_rows = last_rows
         self._goal = goal
         self._singles = singles
-        self._paths: dict[int, Optional[Path]] = {}
 
     def path(self, k: int) -> Optional[Path]:
         """The first path of exactly k states from a root to a goal, or
-        None. It is the kept path, the same lists on every call."""
-        with self._lock:
-            if k not in self._paths:
-                self._paths[k] = self._find(k)
-            return self._paths[k]
-
-    def _find(self, k: int) -> Optional[Path]:
+        None."""
         ex = self._ex()
         goal = self._goal(ex)
         if k == 1:

@@ -38,10 +38,11 @@ timed(init, 1), timed(halt, k), and the property conjunction phi and its
 negation at step i. Each is built once per system, on first use, and every
 later query of that system reuses the same object, so a run of k iterations
 builds each step's transition relation once rather than once per
-satisfiable answer. The cache is an ir.per_system slot: it holds the last
-system queried and its subterms until a query of a different system object
-replaces them. A target's state equality at step i is built anew by each
-extended base case formula: a run on the enum backend builds none.
+satisfiable answer. The cache is an ir.per_system slot, one per thread: it
+holds the last system the thread queried and its subterms until the thread
+queries a different system object. A target's state equality at step i is
+built anew by each extended base case formula: a run on the enum backend
+builds none.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ unsigned with wrap-around (mod 2**width).
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -468,24 +469,24 @@ class TransitionSystem:
 
 
 def per_system(build: Callable[[TransitionSystem], T]) -> Callable[[TransitionSystem], T]:
-    """A one-slot cache: the returned get(sys) gives build(sys) for the last
-    system object passed, and builds again when passed another object.
+    """A one-slot cache per thread: the returned get(sys) gives build(sys)
+    for the last system object this thread passed, and builds again when
+    passed another object.
 
     One slot is enough, since every query of a run asks about one system
-    and `compare` runs both engines on the same object. The slot is keyed
-    by identity, because systems hash by value, recursively; it holds its
-    system strongly, so that system's id cannot be reused while it is
-    there.
+    and `compare` runs both engines on the same object, in one thread. A
+    value is only ever used by the thread that built it, so it needs no
+    lock: another thread asking about the same object builds its own. The
+    slot is keyed by identity, because systems hash by value, recursively;
+    it holds its system strongly, so that system's id cannot be reused
+    while it is there.
     """
-    slot: tuple = (None, None)
+    slots = threading.local()
 
     def get(sys: TransitionSystem) -> T:
-        # Read the slot once, so a caller in another thread that replaces it
-        # cannot hand this caller another system's value.
-        nonlocal slot
-        held = slot
-        if held[0] is not sys:
-            held = slot = (sys, build(sys))
+        held = getattr(slots, "held", None)
+        if held is None or held[0] is not sys:
+            held = slots.held = (sys, build(sys))
         return held[1]
 
     return get

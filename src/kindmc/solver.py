@@ -13,18 +13,18 @@ Two backends:
             inductive step a path of exactly k states from a good state,
             through good states, to a violation. Chains keep their layers,
             so each query grows them by at most the layers no earlier query
-            needed, and the exact chains keep their answer per depth. A
-            forward or inductive formula depends on the system and k alone,
-            so its model, once assembled and re-checked, is kept on the
-            executor too, and each caller gets a copy when it first reads
-            the verdict's model. The executor is held
-            in an ir.per_system slot, so every session that queries the
-            same system object, such as the two engines of a `compare`,
-            shares its rows, layers, answers and checked models. Systems
-            whose state and input bits per step exceed ENUM_BIT_CAP get no
-            executor: they fall back to plain enumeration of the unrolled
-            variables when those fit within the same cap, otherwise the
-            result is unknown.
+            needed. A forward or inductive formula depends on the system
+            and k alone, so its answer is searched for once and kept on the
+            executor (`answers`) with its model, once assembled and
+            re-checked; each caller gets a copy of the model when it first
+            reads the verdict's model. The executor is held in an
+            ir.per_system slot, one per thread, so every session that
+            queries the same system object in one thread, such as the two
+            engines of a `compare`, shares its rows, layers, answers and
+            checked models. Systems whose state and input bits per step
+            exceed ENUM_BIT_CAP get no executor: they fall back to plain
+            enumeration of the unrolled variables when those fit within
+            the same cap, otherwise the result is unknown.
 
   external  a one-shot SMT-LIB 2 process: the serialized query on stdin,
             sat/unsat/unknown plus a get-value response on stdout. Output
@@ -171,6 +171,8 @@ class SolverConfig:
             raise ConfigError(f"solver backend must be enum or external, got {self.backend!r}")
         if self.backend == "external" and not self.command:
             raise ConfigError("external solver command is empty")
+        if self.timeout_ms < 0:
+            raise ConfigError(f"solver timeout must be at least 0 ms, got {self.timeout_ms}")
 
 
 def resolve_config(solver_arg: Optional[str] = None, timeout_ms: int = 0) -> SolverConfig:
@@ -221,20 +223,24 @@ class Solver:
         if q.system.state_bits + q.system.input_bits > ENUM_BIT_CAP:
             return _naive_check(q)
         ex = _executor(q.system)
-        path = _search(ex, q)
-        if path is None:
-            return SolverVerdict(SolverStatus.UNSAT)
         if q.kind not in _EXACT:
+            path = _search(ex, q)
+            if path is None:
+                return SolverVerdict(SolverStatus.UNSAT)
             return SolverVerdict(
                 SolverStatus.SAT,
                 decoded=_reach_answer(q, ex, *path),
                 assemble=lambda: _assemble_model(q, ex, *path),
             )
         key = (q.kind, q.k)
-        model = ex.models.get(key)
-        if model is None:
-            # a checked model of such a formula is a fact of the system
-            model = ex.models[key] = _assemble_model(q, ex, *path)
+        if key not in ex.answers:
+            # the answer to such a formula, checked, is a fact of the system
+            path = _search(ex, q)
+            ex.answers[key] = None if path is None else (path, _assemble_model(q, ex, *path))
+        answer = ex.answers[key]
+        if answer is None:
+            return SolverVerdict(SolverStatus.UNSAT)
+        path, model = answer
         if q.kind is QueryKind.INDUCTIVE:
             return SolverVerdict(
                 SolverStatus.SAT,

@@ -73,6 +73,7 @@ def test_verify_bound_exhausted_exits_2(capsys):
         ["verify", "nonexistent.kts"],
         ["verify", "--family", "chain_bug", "--d", "3", "--solver", "bogus"],
         ["verify", "--family", "chain_bug", "--d", "3", "--max-k", "0"],
+        ["verify", "--family", "chain_bug", "--d", "3", "--timeout-ms", "-5"],
         ["verify", str(BENCH_DIR / "chain5.kts"), "--family", "chain_bug", "--d", "5"],
     ],
     ids=[
@@ -86,6 +87,7 @@ def test_verify_bound_exhausted_exits_2(capsys):
         "missing-file",
         "bad-solver-string",
         "zero-max-k",
+        "negative-timeout",
         "file-and-family",
     ],
 )

@@ -9,23 +9,22 @@ must produce identical initial-state and successor sets, in identical order.
 from __future__ import annotations
 
 import hashlib
-import threading
 from itertools import product
-from sys import getswitchinterval, setswitchinterval
 
 import pytest
 
 import kindmc.solver as solver_mod
 from kindmc import concrete, ir
 from kindmc.concrete import SystemExecutor, _domain
+from kindmc.encoder import Target
 from kindmc.engine import Outcome, compare, run_extended, run_plain
 from kindmc.errors import InternalError
 from kindmc.frontend import chain_bug, format_system, parse
-from kindmc.ir import State, eval_expr
+from kindmc.ir import State, Trace, eval_expr
 from kindmc.solver import _executor
 
 from randsys import corpus
-from systems import deadlock_chain, definitional_props, halt_sink, moving_halt, saturating
+from systems import deadlock_chain, definitional_props, halt_sink, saturating
 
 
 def _naive_initials(sys):
@@ -236,10 +235,20 @@ def test_residual_only_transitions():
     assert ex.successors((3,)) == (((), (0,)), ((), (1,)))
 
 
-def test_state_tuple_is_memoised():
-    ex = SystemExecutor(saturating())
-    st = State({"x": 5})
-    assert ex.state_tuple(st) is ex.state_tuple(State({"x": 5}))
+def test_target_tuple_converts_each_target_once_per_executor():
+    sys = saturating()
+    # equal targets, but distinct objects: each is converted for itself
+    a, b = (Target(State({"x": 5}), Trace((State({"x": 5}),), ()), 1, 1) for _ in range(2))
+    for ex in (SystemExecutor(sys), SystemExecutor(sys)):
+        converted = []
+
+        def counting(st, convert=ex.state_tuple):
+            converted.append(st)
+            return convert(st)
+
+        ex.state_tuple = counting
+        assert [ex.target_tuple(t) for t in (a, b, a, b, a)] == [(5,)] * 5
+        assert converted == [a.first_state, b.first_state]
     with pytest.raises(InternalError, match="state binds"):
         ex.state_tuple(State({"y": 5}))
 
@@ -268,29 +277,6 @@ def test_interleaved_systems_rebuild_their_executor():
     s = again.initial_states()[0]
     assert again.next_rows[s] == tuple(dict.fromkeys(ns for _, ns in ex_a.successors(s)))
     assert again.good_states() == ex_a.good_states()
-
-
-def test_threads_querying_different_systems_get_their_own_executor():
-    systems = [saturating(), halt_sink(), moving_halt(), deadlock_chain()]
-    wrong = []
-
-    def work(sys):
-        for _ in range(20000):
-            if _executor(sys).system is not sys:
-                wrong.append(sys.name)
-
-    old = getswitchinterval()
-    setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(s,)) for s in systems]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
 
 
 # ---------------------------------------------------------------------------

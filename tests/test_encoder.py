@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
-from sys import getswitchinterval, setswitchinterval
 
 import pytest
 
@@ -264,32 +262,6 @@ def test_interleaved_systems_get_their_own_subterms():
         assert q.assertion == ir.conj(
             [timed(sys.trans, 1), timed(phi, 1), ir.not_(timed(phi, 2))]
         )
-
-
-
-def test_threads_querying_different_systems_get_their_own_subterms():
-    systems = [_tiny(), saturating(), halt_sink(), moving_halt()]
-    wrong = []
-
-    def work(sys):
-        for _ in range(20000):
-            if encoder_mod._terms(sys)._sections["trans"] is not sys.trans:
-                wrong.append(sys.name)
-
-    old = getswitchinterval()
-    setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(s,)) for s in systems]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
-    for sys in systems:
-        assert encode_inductive_step(sys, 2).assertion.args[0] == timed(sys.trans, 1)
 
 
 def test_equal_but_distinct_systems_do_not_share_subterms():

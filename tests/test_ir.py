@@ -25,7 +25,7 @@ from kindmc.ir import (
     states_equal,
 )
 
-from systems import deadlock_chain, halt_sink, moving_halt, nested_not, not_chain, saturating
+from systems import halt_sink, moving_halt, nested_not, not_chain, saturating
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +424,33 @@ def test_invalid_identifier_rejected():
 # Per-system slot
 
 
-def test_per_system_slot_under_threads_querying_different_systems():
-    get = ir.per_system(lambda sys: [sys])
-    systems = [saturating(), halt_sink(), moving_halt(), deadlock_chain()]
+def test_per_system_slot_is_confined_to_its_thread():
+    builds = []
+
+    def build(sys):
+        value = (sys, threading.current_thread())
+        builds.append(value)
+        return value
+
+    get = ir.per_system(build)
+    shared, others = saturating(), [halt_sink(), moving_halt()]
+    mine = get(shared)
+    jobs = [shared] * 4 + others
+    ready = threading.Barrier(len(jobs))
     wrong = []
 
     def work(sys):
-        for _ in range(20000):
-            if get(sys)[0] is not sys:
-                wrong.append(sys.name)
+        me = threading.current_thread()
+        ready.wait()
+        for _ in range(10000):
+            got_sys, owner = get(sys)
+            if got_sys is not sys or owner is not me:
+                wrong.append((sys.name, owner.name))
 
     old = getswitchinterval()
     setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(s,)) for s in systems]
+        threads = [threading.Thread(target=work, args=(s,)) for s in jobs]
         for t in threads:
             t.start()
         for t in threads:
@@ -446,6 +459,11 @@ def test_per_system_slot_under_threads_querying_different_systems():
         setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+    # one build per thread, of the system that thread asked about
+    asked = [(shared, threading.current_thread()), *zip(jobs, threads)]
+    assert len(builds) == len(asked)
+    assert {(id(s), t) for s, t in builds} == {(id(s), t) for s, t in asked}
+    assert get(shared) is mine
 
 
 # ---------------------------------------------------------------------------

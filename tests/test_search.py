@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import pytest
 
+import kindmc.solver as solver_mod
 from kindmc import frontend
 from kindmc.concrete import SystemExecutor
 from kindmc.encoder import (
@@ -290,16 +291,24 @@ def _untimed(r: VerificationReport) -> VerificationReport:
 
 
 @pytest.mark.parametrize("make", [lambda: frontend.chain_bug(30), lambda: frontend.const_check(20)])
-def test_threads_running_both_engines_on_one_system_agree(make):
-    # each round starts on a new system object, so the threads race to
-    # build its executor and grow the same chains
+def test_threads_running_both_engines_on_one_system_agree(monkeypatch, make):
+    # each round starts on a new system object, and each thread builds an
+    # executor of its own for it and grows that executor's chains alone
     runs = (run_plain, run_extended, run_extended, run_plain)
     want = [_untimed(run(make())) for run in runs]
+    builds = []
+
+    def building(sys):
+        builds.append((sys, threading.current_thread()))
+        return SystemExecutor(sys)
+
+    monkeypatch.setattr(solver_mod, "SystemExecutor", building)
     old = getswitchinterval()
     setswitchinterval(1e-6)
     try:
         for _ in range(20):
             sys, got = make(), [None] * len(runs)
+            builds.clear()
 
             def work(i):
                 got[i] = _untimed(runs[i](sys))
@@ -311,5 +320,7 @@ def test_threads_running_both_engines_on_one_system_agree(make):
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert got == want
+            assert len(builds) == len(threads)
+            assert {(id(s), t) for s, t in builds} == {(id(sys), t) for t in threads}
     finally:
         setswitchinterval(old)

@@ -409,6 +409,27 @@ def test_compare_checks_each_exact_model_once(monkeypatch, make):
     assert len(sat) > len(exact)  # the extended engine read kept models
 
 
+def test_each_exact_answer_is_searched_once_per_executor(monkeypatch):
+    searched = []
+    real = solver_mod._search
+
+    def counting(ex, q):
+        searched.append((ex, q.kind, q.k))
+        return real(ex, q)
+
+    monkeypatch.setattr(solver_mod, "_search", counting)
+    statuses = set()
+    # two equal systems, so two executors, each asked every question twice
+    for sys in (deadlock_chain(), deadlock_chain()):
+        for solver in (Solver(SolverConfig()), Solver(SolverConfig())):
+            for encode in (encode_forward_condition, encode_inductive_step):
+                for k in range(1, 7):
+                    v = solver.check(encode(sys, k))
+                    statuses.add((encode, v.status))
+    assert len(statuses) == 4  # SAT and UNSAT of each kind
+    assert len(searched) == len(set(searched)) == 2 * 2 * 6
+
+
 def _exact_answers(monkeypatch, run) -> list:
     """(kind, k, status, model) of every forward and inductive check run makes."""
     answers = []
@@ -456,7 +477,7 @@ def test_an_exact_model_that_fails_the_recheck_is_not_kept(monkeypatch):
     for _ in range(2):
         with pytest.raises(InternalError, match="model fails re-check for inductive k=2"):
             Solver(SolverConfig()).check(encode_inductive_step(sys, 2))
-    assert solver_mod._executor(sys).models == {}
+    assert solver_mod._executor(sys).answers == {}
 
 
 def test_naive_answers_when_inputs_break_the_cap():
@@ -638,6 +659,13 @@ def test_resolve_carries_options(monkeypatch):
 def test_config_rejects_unknown_backend():
     with pytest.raises(ConfigError, match="enum or external, got 'z3'"):
         SolverConfig(backend="z3")
+
+
+def test_config_rejects_a_negative_timeout():
+    with pytest.raises(ConfigError, match="at least 0 ms, got -5"):
+        resolve_config("enum", timeout_ms=-5)
+    with pytest.raises(ConfigError, match="at least 0 ms, got -1"):
+        SolverConfig("external", ("z3", "-in"), -1)
 
 
 def test_config_rejects_external_without_command():
