@@ -297,9 +297,15 @@ def _operands(
         else:
             parts = list(_elab_pair(first, args[1], env, hint))
     except _AmbiguousLiteral as exc:
-        # a plain ParseError, so no enclosing pair retries with a sibling's sort
-        line, col = (first.line, first.col) if len(args) == 1 else (exc.line, exc.col)
-        raise ParseError(exc.message, line, col) from None
+        if kind == "bv":
+            # the result has its operands' sort, so an enclosing pair can
+            # still retry with a sibling's; bvnot reports at its operand
+            if len(args) == 1:
+                raise _AmbiguousLiteral(first) from None
+            raise
+        # a comparison is bool whatever its operands' width: no sibling can
+        # give one, so this is the error
+        raise ParseError(exc.message, exc.line, exc.col) from None
     if parts[0].sort.is_bool:
         expected_bv = "" if len(args) == 1 else ", expected a bit-vector"
         raise ParseError(

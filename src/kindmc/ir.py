@@ -4,6 +4,13 @@ states, traces, and the reference evaluator.
 Value conventions: Bool values are Python bools, bit-vector values are
 non-negative Python ints below 2**width. All bit-vector arithmetic is
 unsigned with wrap-around (mod 2**width).
+
+The reference evaluator, eval_expr, checks every model and replays every
+trace (replay_trace). It dispatches on one table, _EVAL, that maps each
+operator to a small function; each function evaluates its operands through
+the table again, so an expression level costs exactly one Python frame.
+It interprets the Expr tree directly and keeps nothing between calls, so
+it stays independent of the executor's compiled closures in concrete.py.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 from .errors import InternalError, SortError, ValidationError
@@ -570,79 +578,186 @@ class Trace:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+_Env = Mapping[str, Value]
+_NO_BINDINGS: _Env = MappingProxyType({})
+_MASKS = tuple((1 << w) - 1 for w in range(MAX_WIDTH + 1))
+
 
 def eval_expr(
     e: Expr,
-    state: Mapping[str, Value] | State,
-    inputs: Mapping[str, Value] | State | None = None,
-    next_state: Mapping[str, Value] | State | None = None,
+    state: _Env | State,
+    inputs: _Env | State | None = None,
+    next_state: _Env | State | None = None,
 ) -> Value:
     """Evaluate an expression under concrete bindings.
 
-    An unbound name indicates a validation bug upstream and raises
-    InternalError rather than returning a default.
+    A plain name is looked up in state, then in inputs; a next(x) reference
+    in next_state. An unbound name indicates a validation bug upstream and
+    raises InternalError rather than returning a default, as does an
+    operator the evaluator does not know.
     """
-    op = e.op
-    if op == "const":
-        return e.value
-    if op == "var":
-        v = state[e.name] if e.name in state else None
-        if v is None and inputs is not None and e.name in inputs:
-            v = inputs[e.name]
-        if v is None:
-            raise InternalError(f"unbound variable {e.name!r} during evaluation")
-        return v
-    if op == "next":
-        if next_state is None or e.name not in next_state:
-            raise InternalError(f"unbound next({e.name}) during evaluation")
-        return next_state[e.name]
-    if op == "not":
-        return not eval_expr(e.args[0], state, inputs, next_state)
-    if op == "and":
-        return all(eval_expr(a, state, inputs, next_state) for a in e.args)
-    if op == "or":
-        return any(eval_expr(a, state, inputs, next_state) for a in e.args)
-    if op == "implies":
-        return (not eval_expr(e.args[0], state, inputs, next_state)) or bool(
-            eval_expr(e.args[1], state, inputs, next_state)
-        )
-    if op == "iff":
-        return bool(eval_expr(e.args[0], state, inputs, next_state)) == bool(
-            eval_expr(e.args[1], state, inputs, next_state)
-        )
-    if op == "ite":
-        if eval_expr(e.args[0], state, inputs, next_state):
-            return eval_expr(e.args[1], state, inputs, next_state)
-        return eval_expr(e.args[2], state, inputs, next_state)
-    if op == "=":
-        return eval_expr(e.args[0], state, inputs, next_state) == eval_expr(
-            e.args[1], state, inputs, next_state
-        )
-    a = eval_expr(e.args[0], state, inputs, next_state)
-    if op == "bvnot":
-        return ((1 << e.sort.width) - 1) ^ a
-    b = eval_expr(e.args[1], state, inputs, next_state)
-    if op == "bvadd":
-        return (a + b) & ((1 << e.sort.width) - 1)
-    if op == "bvsub":
-        return (a - b) & ((1 << e.sort.width) - 1)
-    if op == "bvmul":
-        return (a * b) & ((1 << e.sort.width) - 1)
-    if op == "bvand":
-        return a & b
-    if op == "bvor":
-        return a | b
-    if op == "bvxor":
-        return a ^ b
-    if op == "bvule":
-        return a <= b
-    if op == "bvult":
-        return a < b
-    if op == "bvuge":
-        return a >= b
-    if op == "bvugt":
-        return a > b
-    raise InternalError(f"unknown operator {op!r}")
+    env = _bindings(state)
+    if inputs is not None:
+        env = {**_bindings(inputs), **env}
+    nxt = _NO_BINDINGS if next_state is None else _bindings(next_state)
+    return _evaluate(e, env, nxt)
+
+
+def _evaluate(e: Expr, env: _Env, nxt: _Env) -> Value:
+    try:
+        return _EVAL[e.op](e, env, nxt)
+    except KeyError as exc:
+        # _var and _next turn a missing name into InternalError, so a
+        # KeyError here is an op that _EVAL lacks
+        raise InternalError(f"unknown operator {exc.args[0]!r}") from None
+
+
+def _bindings(b: _Env | State) -> _Env:
+    return b.as_dict() if isinstance(b, State) else b
+
+
+# One function per operator, each called as f(e, env, nxt): env binds the
+# plain names, nxt the next-state names. Each evaluates its operands through
+# _EVAL itself, so an expression level costs one Python frame.
+
+
+def _const(e: Expr, env: _Env, nxt: _Env) -> Value:
+    return e.value
+
+
+def _var(e: Expr, env: _Env, nxt: _Env) -> Value:
+    try:
+        return env[e.name]
+    except KeyError:
+        raise InternalError(f"unbound variable {e.name!r} during evaluation") from None
+
+
+def _next(e: Expr, env: _Env, nxt: _Env) -> Value:
+    try:
+        return nxt[e.name]
+    except KeyError:
+        raise InternalError(f"unbound next({e.name}) during evaluation") from None
+
+
+def _not(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a = e.args[0]
+    return not _EVAL[a.op](a, env, nxt)
+
+
+def _and(e: Expr, env: _Env, nxt: _Env) -> Value:
+    for a in e.args:
+        if not _EVAL[a.op](a, env, nxt):
+            return False
+    return True
+
+
+def _or(e: Expr, env: _Env, nxt: _Env) -> Value:
+    for a in e.args:
+        if _EVAL[a.op](a, env, nxt):
+            return True
+    return False
+
+
+def _implies(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a, b = e.args
+    return not _EVAL[a.op](a, env, nxt) or bool(_EVAL[b.op](b, env, nxt))
+
+
+def _iff(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a, b = e.args
+    return (not _EVAL[a.op](a, env, nxt)) == (not _EVAL[b.op](b, env, nxt))
+
+
+def _ite(e: Expr, env: _Env, nxt: _Env) -> Value:
+    c, t, f = e.args
+    if _EVAL[c.op](c, env, nxt):
+        return _EVAL[t.op](t, env, nxt)
+    return _EVAL[f.op](f, env, nxt)
+
+
+def _eq(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a, b = e.args
+    return _EVAL[a.op](a, env, nxt) == _EVAL[b.op](b, env, nxt)
+
+
+def _bvnot(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a = e.args[0]
+    return _MASKS[e.sort.width] ^ _EVAL[a.op](a, env, nxt)
+
+
+def _bvadd(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a, b = e.args
+    return (_EVAL[a.op](a, env, nxt) + _EVAL[b.op](b, env, nxt)) & _MASKS[e.sort.width]
+
+
+def _bvsub(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a, b = e.args
+    return (_EVAL[a.op](a, env, nxt) - _EVAL[b.op](b, env, nxt)) & _MASKS[e.sort.width]
+
+
+def _bvmul(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a, b = e.args
+    return (_EVAL[a.op](a, env, nxt) * _EVAL[b.op](b, env, nxt)) & _MASKS[e.sort.width]
+
+
+def _bvand(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a, b = e.args
+    return _EVAL[a.op](a, env, nxt) & _EVAL[b.op](b, env, nxt)
+
+
+def _bvor(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a, b = e.args
+    return _EVAL[a.op](a, env, nxt) | _EVAL[b.op](b, env, nxt)
+
+
+def _bvxor(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a, b = e.args
+    return _EVAL[a.op](a, env, nxt) ^ _EVAL[b.op](b, env, nxt)
+
+
+def _bvule(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a, b = e.args
+    return _EVAL[a.op](a, env, nxt) <= _EVAL[b.op](b, env, nxt)
+
+
+def _bvult(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a, b = e.args
+    return _EVAL[a.op](a, env, nxt) < _EVAL[b.op](b, env, nxt)
+
+
+def _bvuge(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a, b = e.args
+    return _EVAL[a.op](a, env, nxt) >= _EVAL[b.op](b, env, nxt)
+
+
+def _bvugt(e: Expr, env: _Env, nxt: _Env) -> Value:
+    a, b = e.args
+    return _EVAL[a.op](a, env, nxt) > _EVAL[b.op](b, env, nxt)
+
+
+_EVAL: dict[str, Callable[..., Value]] = {
+    "const": _const,
+    "var": _var,
+    "next": _next,
+    "not": _not,
+    "and": _and,
+    "or": _or,
+    "implies": _implies,
+    "iff": _iff,
+    "ite": _ite,
+    "=": _eq,
+    "bvnot": _bvnot,
+    "bvadd": _bvadd,
+    "bvsub": _bvsub,
+    "bvmul": _bvmul,
+    "bvand": _bvand,
+    "bvor": _bvor,
+    "bvxor": _bvxor,
+    "bvule": _bvule,
+    "bvult": _bvult,
+    "bvuge": _bvuge,
+    "bvugt": _bvugt,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -675,37 +790,39 @@ def replay_trace(sys: TransitionSystem, trace: Trace) -> ReplayVerdict:
     snames = tuple(sorted(v.name for v in svars))
     inames = tuple(sorted(v.name for v in ivars))
     sorts = {v.name: v.sort for v in sys.vars}
-    # each State once as a dict: a State looks a name up by a linear scan
+    # each State once as a dict, its names checked on the dict's keys: a
+    # State looks a name up by a linear scan
     states: list[dict[str, Value]] = []
     inputs: list[dict[str, Value]] = []
     try:
         for i, st in enumerate(trace.states):
-            if st.names() != snames:
-                return ReplayVerdict(False, f"state {i} binds {st.names()}, expected {snames}", i)
             values = st.as_dict()
+            if tuple(values) != snames:
+                return ReplayVerdict(False, f"state {i} binds {st.names()}, expected {snames}", i)
             for n in snames:
                 if not sorts[n].contains(values[n]):
                     return ReplayVerdict(False, f"state {i}: {n}={values[n]!r} out of range", i)
             states.append(values)
         for i, iv in enumerate(trace.inputs):
-            if iv.names() != inames:
-                return ReplayVerdict(False, f"inputs {i} bind {iv.names()}, expected {inames}", i)
             values = iv.as_dict()
+            if tuple(values) != inames:
+                return ReplayVerdict(False, f"inputs {i} bind {iv.names()}, expected {inames}", i)
             for n in inames:
                 if not sorts[n].contains(values[n]):
                     return ReplayVerdict(False, f"inputs {i}: {n}={values[n]!r} out of range", i)
             inputs.append(values)
-        if not eval_expr(sys.init, states[0]):
+        if not _evaluate(sys.init, states[0], _NO_BINDINGS):
             return ReplayVerdict(False, "state 0 does not satisfy init", 0)
         for i in range(len(states) - 1):
-            if not eval_expr(sys.trans, states[i], inputs[i], states[i + 1]):
+            env = {**inputs[i], **states[i]}
+            if not _evaluate(sys.trans, env, states[i + 1]):
                 return ReplayVerdict(False, f"step {i} -> {i + 1} does not satisfy trans", i)
         if trace.violated_prop is not None:
             match = [p for p in sys.props if p.name == trace.violated_prop]
             if not match:
                 return ReplayVerdict(False, f"unknown property {trace.violated_prop!r}")
             last = len(states) - 1
-            if eval_expr(match[0].expr, states[last]):
+            if _evaluate(match[0].expr, states[last], _NO_BINDINGS):
                 return ReplayVerdict(
                     False, f"property {trace.violated_prop} holds at final state", last
                 )

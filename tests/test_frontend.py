@@ -127,7 +127,7 @@ _EXPR_ERRORS = [
     (_wrap(trans="(= (next (bvadd x 1)) 0)"), "next takes a state variable name"),
     (_wrap(init="(= 1 2)"), "cannot infer bit-vector width"),
     (_wrap(init="5"), "integer literal where bool expected"),
-    (_wrap(init="(bvule (bvadd 1 2) x)"), "cannot infer bit-vector width"),
+    (_wrap(init="(bvule (bvadd 1 2) (bvadd 3 4))"), "cannot infer bit-vector width"),
     (_wrap(init="(= x 8)"), "literal 8 does not fit (bv 3)"),
     (_wrap(init="(= x true)"), "sort error"),
     (_wrap(init="(= x #b01)"), "sort error"),
@@ -158,10 +158,11 @@ _EXPR_ERRORS = [
     (_wrap(trans="(= (next x x) x)"), "next takes 1 operand(s), got 2"),
     (_wrap(init="(= (next (x)) 0)"), "2:18: next takes a state variable name"),
     (_wrap(init="(= (next y) 0)"), "next(y) outside trans"),
-    # where a bit-vector operand error is reported
+    # where a bit-vector operand error is reported: a literal no sibling gives
+    # a width at the last one tried, bvnot's at its operand
     (_wrap(trans="(bvnot c)"), "3:17: sort error: operand of bvnot has sort bool"),
-    (_wrap(trans="(bvule (bvnot (ite c 1 2)) x)"), "3:24: cannot infer bit-vector width"),
-    (_wrap(init="(bvule (bvadd 1 2) x)"), "2:25: cannot infer bit-vector width"),
+    (_wrap(trans="(= 123 (bvnot (ite c 1 2)))"), "3:24: cannot infer bit-vector width"),
+    (_wrap(init="(= 123 (bvadd 4 5))"), "2:25: cannot infer bit-vector width"),
 ]
 
 
@@ -230,10 +231,17 @@ def test_decimal_in_nested_context():
     # expected sort flows through ite branches
     sys = parse(_wrap(trans="(= (next x) (ite c 1 x))"))
     assert sys.trans.args[1].args[1] == ir.bv_const(1, 3)
-    # a right operand takes its width from the left one; the reverse order
-    # is rejected (see _EXPR_ERRORS)
+    # an operand takes its width from its sibling, in either order, through
+    # width-preserving operators; only when neither side has one is it an
+    # error (see _EXPR_ERRORS)
+    three = ir.bvadd(ir.bv_const(1, 3), ir.bv_const(2, 3))
     sys = parse(_wrap(init="(bvule x (bvadd 1 2))"))
-    assert sys.init.args[1] == ir.bvadd(ir.bv_const(1, 3), ir.bv_const(2, 3))
+    assert sys.init.args[1] == three
+    sys = parse(_wrap(init="(bvule (bvadd 1 2) x)"))
+    assert sys.init.args[0] == three
+    sys = parse(_wrap(trans="(bvule (bvnot (ite c 1 2)) x)"))
+    c = ir.var("c", BOOL)
+    assert sys.trans.args[0] == ir.bvnot(ir.ite(c, ir.bv_const(1, 3), ir.bv_const(2, 3)))
 
 
 def test_bool_atoms():
